@@ -19,7 +19,6 @@ from .network import (
     Dataset,
     NetworkShape,
     Theta,
-    backward,
     forward,
     link_apply,
     loss_and_grad,

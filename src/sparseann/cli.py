@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,16 +20,17 @@ import numpy as np
 from .activations import ActivationSpec
 from .errors import ConfigError, DataError, NumericalError, SparseAnnError
 from .network import Dataset, NetworkShape, Theta, forward, predict_class
-from .qut import QutConfig, compute_qut
+from .qut import QutConfig, _deriv0_product, compute_qut
 from .simulate import SimConfig, run_sweep
-from .solver import FitResult, SolverConfig, fit
+from .solver import SolverConfig, fit
 
-_CONFIG_SECTIONS = {"task", "shape", "qut", "solver", "io", "seed"}
-_SHAPE_KEYS = {"hidden", "link", "activation"}
-_QUT_KEYS = {"alpha", "mc_samples", "seed"}
-_SOLVER_KEYS = {"lr_descent", "descent_epochs", "prox_max_iter", "prox_tol",
-                "init_scale", "seed"}
-_IO_KEYS = {"data", "response", "out"}
+_SECTION_KEYS = {
+    "shape": {"hidden", "link", "activation"},
+    "qut": {f.name for f in fields(QutConfig)},
+    "solver": {f.name for f in fields(SolverConfig)},
+    "io": {"data", "response", "out"},
+}
+_CONFIG_SECTIONS = {"task", "seed", *_SECTION_KEYS}
 
 
 def _reject_unknown(d: dict, allowed: set, where: str):
@@ -48,12 +50,7 @@ def load_run_config(path) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     _reject_unknown(cfg, _CONFIG_SECTIONS, "config")
-    for key, allowed in (
-        ("shape", _SHAPE_KEYS),
-        ("qut", _QUT_KEYS),
-        ("solver", _SOLVER_KEYS),
-        ("io", _IO_KEYS),
-    ):
+    for key, allowed in _SECTION_KEYS.items():
         if key in cfg:
             if not isinstance(cfg[key], dict):
                 raise ConfigError(f"config section {key!r} must be an object")
@@ -63,13 +60,8 @@ def load_run_config(path) -> dict:
     return cfg
 
 
-def load_csv(path, response: str, task: str) -> Dataset:
-    """Read an RFC-4180 CSV with a header row into a Dataset.
-
-    ``response`` names the response column (regression) or the label column
-    (classification; labels map to one-hot in first-appearance order).
-    Every other column is a numeric feature, kept in header order.
-    """
+def _read_csv(path):
+    """Header and data rows of a CSV file; every row must match the header."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -80,50 +72,64 @@ def load_csv(path, response: str, task: str) -> Dataset:
             rows = list(reader)
     except OSError as exc:
         raise DataError(f"cannot read data file: {exc}")
-    if response not in header:
-        raise DataError(f"response column {response!r} not found in header")
-    y_idx = header.index(response)
-    feature_names = [h for i, h in enumerate(header) if i != y_idx]
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-
-    n = len(rows)
-    X = np.empty((n, len(feature_names)))
-    y_raw = []
     for r, row in enumerate(rows):
         if len(row) != len(header):
             raise DataError(f"{path}: row {r + 2} has {len(row)} cells, "
                             f"expected {len(header)}")
-        col = 0
-        for i, cell in enumerate(row):
-            if i == y_idx:
-                y_raw.append(cell.strip())
-                continue
-            cell = cell.strip()
+    return header, rows
+
+
+def _numeric_columns(path, header, rows, idxs) -> np.ndarray:
+    """Columns ``idxs`` of the data rows as a float matrix; every cell finite."""
+    X = np.empty((len(rows), len(idxs)))
+    for r, row in enumerate(rows):
+        for c, i in enumerate(idxs):
+            cell = row[i].strip()
             if cell == "":
                 raise DataError(f"{path}: missing value at row {r + 2}, "
                                 f"column {header[i]!r}")
             try:
-                X[r, col] = float(cell)
+                X[r, c] = float(cell)
             except ValueError:
                 raise DataError(f"{path}: non-numeric cell {cell!r} at "
                                 f"row {r + 2}, column {header[i]!r}")
-            col += 1
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        r, c = bad[0]
+        raise DataError(f"{path}: non-finite cell {rows[r][idxs[c]].strip()!r} at "
+                        f"row {r + 2}, column {header[idxs[c]]!r}")
+    return X
+
+
+def load_csv(path, response: str, task: str) -> Dataset:
+    """Read an RFC-4180 CSV with a header row into a Dataset.
+
+    ``response`` names the response column (regression) or the label column
+    (classification; labels map to one-hot in first-appearance order).
+    Every other column is a numeric feature, kept in header order.
+    """
+    header, rows = _read_csv(path)
+    if response not in header:
+        raise DataError(f"response column {response!r} not found in header")
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    y_idx = header.index(response)
+    x_idxs = [i for i in range(len(header)) if i != y_idx]
+    feature_names = [header[i] for i in x_idxs]
+    X = _numeric_columns(path, header, rows, x_idxs)
 
     if task == "regression":
-        try:
-            Y = np.array([[float(v)] for v in y_raw])
-        except ValueError:
-            raise DataError(f"regression response column {response!r} must be numeric")
+        Y = _numeric_columns(path, header, rows, [y_idx])
         return Dataset(X=X, Y=Y, task="regression", feature_names=feature_names)
 
+    y_raw = [row[y_idx].strip() for row in rows]
     labels = []
     for v in y_raw:
         if v == "":
             raise DataError(f"missing label in column {response!r}")
         if v not in labels:
             labels.append(v)
-    Y = np.zeros((n, len(labels)))
+    Y = np.zeros((len(rows), len(labels)))
     for r, v in enumerate(y_raw):
         Y[r, labels.index(v)] = 1.0
     return Dataset(X=X, Y=Y, task="classification",
@@ -132,45 +138,49 @@ def load_csv(path, response: str, task: str) -> Dataset:
 
 def _shape_from_config(cfg: dict, p1: int, m: int, task: str) -> NetworkShape:
     shape_cfg = cfg.get("shape", {})
-    hidden = shape_cfg.get("hidden", [20])
-    if not hidden or any(int(h) < 1 for h in hidden):
-        raise ConfigError("shape.hidden must be a nonempty list of positive widths")
     link = shape_cfg.get("link")
     if link is None:
         link = "identity" if task == "regression" else "softmax"
-    act_cfg = shape_cfg.get("activation")
-    if act_cfg is None:
-        activation = ActivationSpec()
-    elif isinstance(act_cfg, list):
-        activation = tuple(ActivationSpec.from_dict(a) for a in act_cfg)
-    else:
-        activation = ActivationSpec.from_dict(act_cfg)
     try:
+        hidden = shape_cfg.get("hidden", [20])
+        if not isinstance(hidden, list) or not hidden or any(int(h) < 1 for h in hidden):
+            raise ConfigError("shape.hidden must be a nonempty list of positive widths")
+        act_cfg = shape_cfg.get("activation")
+        if act_cfg is None:
+            activation = ActivationSpec()
+        elif isinstance(act_cfg, list):
+            activation = tuple(ActivationSpec.from_dict(a) for a in act_cfg)
+        else:
+            activation = ActivationSpec.from_dict(act_cfg)
         return NetworkShape.make((p1, *[int(h) for h in hidden], m), link, activation)
+    except KeyError as exc:
+        raise ConfigError(f"shape.activation needs the key {exc}")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid shape config: {exc}")
+
+
+def _require_threshold_activations(shape: NetworkShape):
+    """Reject hidden activations the threshold formulas cannot use (the ReLU limit)."""
+    try:
+        _deriv0_product(shape)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
 
+def _section_config(cls, section: str, cfg: dict, args, **flags):
+    """``cls`` from a config section, overridden by the flags given, seeded by the run."""
+    kw = dict(cfg.get(section, {}))
+    kw.update((k, v) for k, v in flags.items() if v is not None)
+    kw.setdefault("seed", _seed_of(cfg, args))
+    try:
+        return cls(**kw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {section} config: {exc}")
+
+
 def _qut_config(cfg: dict, args) -> QutConfig:
-    qcfg = dict(cfg.get("qut", {}))
-    if args.alpha is not None:
-        qcfg["alpha"] = args.alpha
-    if args.mc_samples is not None:
-        qcfg["mc_samples"] = args.mc_samples
-    qcfg.setdefault("seed", _seed_of(cfg, args))
-    try:
-        return QutConfig(**qcfg)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid qut config: {exc}")
-
-
-def _solver_config(cfg: dict, args) -> SolverConfig:
-    scfg = dict(cfg.get("solver", {}))
-    scfg.setdefault("seed", _seed_of(cfg, args))
-    try:
-        return SolverConfig(**scfg)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid solver config: {exc}")
+    return _section_config(QutConfig, "qut", cfg, args,
+                           alpha=args.alpha, mc_samples=args.mc_samples)
 
 
 def _seed_of(cfg: dict, args) -> int:
@@ -179,16 +189,15 @@ def _seed_of(cfg: dict, args) -> int:
     return int(cfg.get("seed", 0))
 
 
-def _resolve_io(cfg: dict, args, need_data=True):
+def _resolve_io(cfg: dict, args):
     io = cfg.get("io", {})
     data = args.data or io.get("data")
     response = args.response or io.get("response")
     out = args.out or io.get("out")
-    if need_data:
-        if not data:
-            raise ConfigError("no data file given (--data or io.data)")
-        if not response:
-            raise ConfigError("no response column given (--response or io.response)")
+    if not data:
+        raise ConfigError("no data file given (--data or io.data)")
+    if not response:
+        raise ConfigError("no response column given (--response or io.response)")
     return data, response, out
 
 
@@ -200,39 +209,48 @@ def _task_of(cfg: dict, args) -> str:
 
 
 def _emit(payload: dict, out):
-    text = json.dumps(payload, indent=2)
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:
+        raise NumericalError("the result holds a non-finite number; nothing written")
     if out:
         Path(out).write_text(text + "\n")
     else:
         print(text)
 
 
-def cmd_qut(args) -> int:
+def _load_inputs(args):
+    """Config, task, dataset, network shape and output path of a qut or fit run."""
     cfg = load_run_config(args.config) if args.config else {}
     task = _task_of(cfg, args)
     data, response, out = _resolve_io(cfg, args)
     dataset = load_csv(data, response, task)
     shape = _shape_from_config(cfg, dataset.n_features, dataset.n_outputs, task)
-    result = compute_qut(dataset, shape, _qut_config(cfg, args))
-    _emit(result.to_dict(), out)
+    return cfg, task, dataset, shape, out
+
+
+def _threshold(dataset: Dataset, shape: NetworkShape, cfg: dict, args):
+    _require_threshold_activations(shape)
+    return compute_qut(dataset, shape, _qut_config(cfg, args))
+
+
+def cmd_qut(args) -> int:
+    cfg, _, dataset, shape, out = _load_inputs(args)
+    _emit(_threshold(dataset, shape, cfg, args).to_dict(), out)
     return 0
 
 
 def cmd_fit(args) -> int:
-    cfg = load_run_config(args.config) if args.config else {}
-    task = _task_of(cfg, args)
-    data, response, out = _resolve_io(cfg, args)
-    dataset = load_csv(data, response, task)
-    shape = _shape_from_config(cfg, dataset.n_features, dataset.n_outputs, task)
+    cfg, task, dataset, shape, out = _load_inputs(args)
     if args.lam is not None:
         lam = args.lam
         qut_info = None
     else:
-        qut = compute_qut(dataset, shape, _qut_config(cfg, args))
+        qut = _threshold(dataset, shape, cfg, args)
         lam = qut.lambda_qut
         qut_info = {"lambda_qut": qut.lambda_qut, "alpha": qut.alpha,
                     "mc_samples": qut.mc_samples, "seed": qut.seed}
-    result = fit(shape, dataset, lam, _solver_config(cfg, args))
+    result = fit(shape, dataset, lam, _section_config(SolverConfig, "solver", cfg, args))
     payload = result.to_dict(shape)
     payload["task"] = task
     payload["qut"] = qut_info
@@ -245,26 +263,39 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
-    if not args.model:
-        raise ConfigError("predict needs --model (a saved fit result)")
+def _load_model(path):
+    """Saved fit JSON with its network shape and parameters, checked against each other."""
     try:
-        with open(args.model) as fh:
+        with open(path) as fh:
             saved = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read model file: {exc}")
-    shape = NetworkShape.from_dict(saved["shape"])
-    theta = Theta.from_dict(saved["theta"])
-    task = saved.get("task", "regression")
-    feature_names = saved.get("feature_names")
-    if not args.data:
-        raise ConfigError("predict needs --data")
+    try:
+        shape = NetworkShape.from_dict(saved["shape"])
+        theta = Theta.from_dict(saved["theta"])
+        theta.check_shapes(shape)
+        if not all(np.all(np.isfinite(a)) for a in theta.all_arrays()):
+            raise ValueError("parameters must be finite")
+        labels = saved.get("class_labels")
+        if labels and len(labels) != shape.n_outputs:
+            raise ValueError(f"{len(labels)} class labels for {shape.n_outputs} outputs")
+    except KeyError as exc:
+        raise ConfigError(f"model file has no {exc} entry")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid model file: {exc}")
+    return saved, shape, theta
 
-    X, used_names = _load_feature_csv(args.data, feature_names,
+
+def cmd_predict(args) -> int:
+    saved, shape, theta = _load_model(args.model)
+    X, used_names = _load_feature_csv(args.data, saved.get("feature_names"),
                                       drop=args.response)
+    if X.shape[1] != shape.n_inputs:
+        raise DataError(f"{args.data}: {X.shape[1]} feature columns, "
+                        f"the model takes {shape.n_inputs}")
     mu = forward(shape, theta, X)
     payload = {"predictions": mu.tolist(), "feature_names": used_names}
-    if task == "classification":
+    if saved.get("task", "regression") == "classification":
         idx = predict_class(shape, theta, X)
         labels = saved.get("class_labels")
         payload["class_index"] = [int(i) for i in idx]
@@ -276,38 +307,15 @@ def cmd_predict(args) -> int:
 
 def _load_feature_csv(path, feature_names, drop=None):
     """Feature matrix from a CSV, selecting the model's columns by name."""
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file")
-            rows = list(reader)
-    except OSError as exc:
-        raise DataError(f"cannot read data file: {exc}")
+    header, rows = _read_csv(path)
     if feature_names:
         missing = [f for f in feature_names if f not in header]
         if missing:
             raise DataError(f"{path}: missing feature columns {missing}")
         idxs = [header.index(f) for f in feature_names]
-        names = list(feature_names)
     else:
         idxs = [i for i, h in enumerate(header) if h != drop]
-        names = [header[i] for i in idxs]
-    X = np.empty((len(rows), len(idxs)))
-    for r, row in enumerate(rows):
-        for c, i in enumerate(idxs):
-            cell = row[i].strip() if i < len(row) else ""
-            if cell == "":
-                raise DataError(f"{path}: missing value at row {r + 2}, "
-                                f"column {header[i]!r}")
-            try:
-                X[r, c] = float(cell)
-            except ValueError:
-                raise DataError(f"{path}: non-numeric cell {cell!r} at "
-                                f"row {r + 2}, column {header[i]!r}")
-    return X, names
+    return _numeric_columns(path, header, rows, idxs), [header[i] for i in idxs]
 
 
 def cmd_simulate(args) -> int:
@@ -327,21 +335,19 @@ def cmd_simulate(args) -> int:
     if args.p1 is not None:
         kw["p1"] = args.p1
     sim = SimConfig.linear(**kw) if kind == "linear" else SimConfig.absdiff(**kw)
+    shape = _shape_from_config(cfg, sim.p1, 1, "regression")
+    _require_threshold_activations(shape)
 
-    def shape_for(p1):
-        return _shape_from_config(cfg, p1, 1, "regression")
-
-    report = run_sweep(sim, shape_for, _qut_config(cfg, args),
-                       _solver_config(cfg, args))
+    report = run_sweep(sim, shape, _qut_config(cfg, args),
+                       _section_config(SolverConfig, "solver", cfg, args))
     out = args.out or (cfg.get("io", {}) or {}).get("out")
     if out:
         base = Path(out)
         json_path = base if base.suffix == ".json" else base.with_suffix(".json")
-        csv_path = json_path.with_suffix(".csv")
-        report.write_json(json_path)
-        report.write_csv(csv_path)
+        _emit(report.to_dict(), json_path)
+        report.write_csv(json_path.with_suffix(".csv"))
     else:
-        print(json.dumps(report.to_dict(), indent=2))
+        _emit(report.to_dict(), None)
     return 0
 
 

@@ -20,6 +20,7 @@ LINKS = ("identity", "softmax", "logit")
 LOSSES = ("sqrt_l2", "cross_entropy")
 
 ROW_NORM_FLOOR = 1e-12
+PROB_FLOOR = 1e-12  # probabilities are clipped here before taking logs
 
 
 @dataclass(frozen=True)
@@ -207,14 +208,15 @@ class Dataset:
         return self.Y.shape[1]
 
 
-def _row_norms(W: np.ndarray) -> np.ndarray:
+def normalize_rows(W: np.ndarray):
+    """Row-normalized copy of W and its row norms; a zero row is an error."""
     norms = np.linalg.norm(W, axis=1)
     if np.any(norms < ROW_NORM_FLOOR):
         raise DegenerateParameterError(
             "a deep weight row has (numerically) zero norm; the normalized "
             "layer map is undefined there"
         )
-    return norms
+    return W / norms[:, None], norms
 
 
 def link_apply(link: str, Z: np.ndarray) -> np.ndarray:
@@ -228,17 +230,14 @@ def link_apply(link: str, Z: np.ndarray) -> np.ndarray:
         raise ValueError("link input must be finite")
     if link == "identity":
         return Z
-    if link == "softmax":
-        shifted = Z - Z.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
     if link == "logit":
         # reference class appended with logit 0
-        full = np.concatenate([Z, np.zeros((Z.shape[0], 1))], axis=1)
-        shifted = full - full.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
-    raise ValueError(f"unknown link {link!r}")
+        Z = np.concatenate([Z, np.zeros((Z.shape[0], 1))], axis=1)
+    elif link != "softmax":
+        raise ValueError(f"unknown link {link!r}")
+    shifted = Z - Z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def forward(shape: NetworkShape, theta: Theta, X: np.ndarray) -> np.ndarray:
@@ -256,65 +255,63 @@ def _forward_cached(shape: NetworkShape, theta: Theta, X: np.ndarray):
     l = shape.n_layers
     pre_acts = []
     acts = [X]
+    deep_hat = []  # (W_hat, norms) of each deep matrix, reused by the backward pass
     a = X
     # hidden layers 1 .. l-1 (layer 1 unnormalized, deeper ones row-normalized)
     for k in range(l - 1):
         if k == 0:
             pre = a @ theta.W1.T + theta.biases[0]
         else:
-            W = theta.deep[k - 1]
-            norms = _row_norms(W)
-            pre = a @ (W / norms[:, None]).T + theta.biases[k]
+            deep_hat.append(normalize_rows(theta.deep[k - 1]))
+            pre = a @ deep_hat[-1][0].T + theta.biases[k]
         a = act_value(shape.activations[k], pre)
         pre_acts.append(pre)
         acts.append(a)
-    Wl = theta.deep[l - 2]
-    norms_l = _row_norms(Wl)
-    Z = a @ (Wl / norms_l[:, None]).T + theta.c
+    deep_hat.append(normalize_rows(theta.deep[l - 2]))
+    Z = a @ deep_hat[-1][0].T + theta.c
     if shape.link == "logit":
         mu = link_apply("logit", Z[:, :-1])
     else:
         mu = link_apply(shape.link, Z)
-    cache = {"pre_acts": pre_acts, "acts": acts, "Z": Z, "mu": mu}
+    cache = {"pre_acts": pre_acts, "acts": acts, "deep_hat": deep_hat, "Z": Z, "mu": mu}
     return mu, cache
+
+
+def loss_value(loss_kind: str, Y: np.ndarray, mu: np.ndarray) -> float:
+    """Square-root l2 loss (norm of the residual) or cross-entropy of mu against Y."""
+    if loss_kind == "sqrt_l2":
+        return float(np.linalg.norm(mu - Y))
+    if loss_kind == "cross_entropy":
+        return -float(np.sum(Y * np.log(np.clip(mu, PROB_FLOOR, None))))
+    raise ValueError(f"unknown loss {loss_kind!r}, expected one of {LOSSES}")
 
 
 def _dloss_dmu(loss_kind: str, Y: np.ndarray, mu: np.ndarray):
     """Loss value and its gradient w.r.t. the network output."""
+    loss = loss_value(loss_kind, Y, mu)
     if loss_kind == "sqrt_l2":
-        resid = mu - Y
-        nrm = np.linalg.norm(resid)
-        if nrm < 1e-12:
+        if loss < 1e-12:
             raise NumericalError(
                 "square-root l2 loss is not differentiable at zero residual"
             )
-        return nrm, resid / nrm
-    if loss_kind == "cross_entropy":
-        P = np.clip(mu, 1e-12, None)
-        loss = -float(np.sum(Y * np.log(P)))
-        return loss, -Y / P
-    raise ValueError(f"unknown loss {loss_kind!r}, expected one of {LOSSES}")
+        return loss, (mu - Y) / loss
+    return loss, -Y / np.clip(mu, PROB_FLOOR, None)
 
 
 def _dZ_from_dmu(link: str, mu: np.ndarray, dmu: np.ndarray) -> np.ndarray:
     """Pull the output-gradient back through the link to the last-layer logits."""
     if link == "identity":
         return dmu
-    if link == "softmax":
-        s = np.sum(dmu * mu, axis=1, keepdims=True)
-        return mu * (dmu - s)
+    s = np.sum(dmu * mu, axis=1, keepdims=True)
+    dZ = mu * (dmu - s)
     if link == "logit":
-        s = np.sum(dmu * mu, axis=1, keepdims=True)
-        dZ = mu * (dmu - s)
         dZ[:, -1] = 0.0  # reference-class logit is fixed at zero
-        return dZ
-    raise ValueError(f"unknown link {link!r}")
+    return dZ
 
 
-def _normalized_row_backprop(W: np.ndarray, dW_hat: np.ndarray) -> np.ndarray:
+def _normalized_row_backprop(W_hat: np.ndarray, norms: np.ndarray,
+                             dW_hat: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. W given the gradient w.r.t. its row-normalized version."""
-    norms = _row_norms(W)
-    W_hat = W / norms[:, None]
     dots = np.sum(dW_hat * W_hat, axis=1, keepdims=True)
     return (dW_hat - dots * W_hat) / norms[:, None]
 
@@ -331,12 +328,12 @@ def loss_and_grad(shape: NetworkShape, theta: Theta, dataset: Dataset, loss_kind
     l = shape.n_layers
     acts = cache["acts"]
     pre_acts = cache["pre_acts"]
+    deep_hat = cache["deep_hat"]
     grad = Theta.zeros(shape)
 
     grad.c = dZ.sum(axis=0)
-    Wl = theta.deep[l - 2]
-    Wl_hat = Wl / _row_norms(Wl)[:, None]
-    grad.deep[l - 2] = _normalized_row_backprop(Wl, dZ.T @ acts[l - 1])
+    Wl_hat, norms_l = deep_hat[l - 2]
+    grad.deep[l - 2] = _normalized_row_backprop(Wl_hat, norms_l, dZ.T @ acts[l - 1])
     dA = dZ @ Wl_hat
 
     for k in range(l - 1, 0, -1):  # hidden layer index, 1-based
@@ -345,17 +342,10 @@ def loss_and_grad(shape: NetworkShape, theta: Theta, dataset: Dataset, loss_kind
         if k == 1:
             grad.W1 = dpre.T @ acts[0]
         else:
-            W = theta.deep[k - 2]
-            W_hat = W / _row_norms(W)[:, None]
-            grad.deep[k - 2] = _normalized_row_backprop(W, dpre.T @ acts[k - 1])
+            W_hat, norms = deep_hat[k - 2]
+            grad.deep[k - 2] = _normalized_row_backprop(W_hat, norms, dpre.T @ acts[k - 1])
             dA = dpre @ W_hat
     return loss, grad
-
-
-def backward(shape: NetworkShape, theta: Theta, dataset: Dataset, loss_kind: str) -> Theta:
-    """Exact gradient of the loss w.r.t. every parameter."""
-    _, grad = loss_and_grad(shape, theta, dataset, loss_kind)
-    return grad
 
 
 def predict(shape: NetworkShape, theta: Theta, X_new: np.ndarray) -> np.ndarray:

@@ -8,26 +8,25 @@ import numpy as np
 
 from .activations import act_deriv
 from .errors import DataError
-from .network import Dataset, NetworkShape, Theta, _row_norms, forward
-
-PROB_FLOOR = 1e-12
+from .network import (
+    Dataset,
+    NetworkShape,
+    Theta,
+    forward,
+    loss_value,
+    normalize_rows,
+)
 
 
 @dataclass(frozen=True)
 class PenaltySpec:
-    """Penalty level; only the entrywise (q=1) variant is implemented.
-
-    ``q`` is kept as a config hook for a future grouped variant.
-    """
+    """Penalty level lambda of the entrywise l1 penalty."""
 
     lam: float
-    q: int = 1
 
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
-        if self.q != 1:
-            raise ValueError("only q=1 is supported")
 
 
 def loss_sqrt_l2(Y: np.ndarray, mu: np.ndarray) -> float:
@@ -36,7 +35,7 @@ def loss_sqrt_l2(Y: np.ndarray, mu: np.ndarray) -> float:
     mu = np.asarray(mu, dtype=float)
     if Y.shape != mu.shape:
         raise ValueError("Y and mu must have matching shapes")
-    return float(np.linalg.norm(Y - mu))
+    return loss_value("sqrt_l2", Y, mu)
 
 
 def loss_cross_entropy(Y: np.ndarray, P: np.ndarray) -> float:
@@ -47,7 +46,7 @@ def loss_cross_entropy(Y: np.ndarray, P: np.ndarray) -> float:
         raise ValueError("Y and P must have matching shapes")
     if not np.allclose(P.sum(axis=1), 1.0, atol=1e-8):
         raise DataError("probability rows must sum to 1")
-    return -float(np.sum(Y * np.log(np.clip(P, PROB_FLOOR, None))))
+    return loss_value("cross_entropy", Y, P)
 
 
 def penalty_l1(theta: Theta) -> float:
@@ -106,10 +105,8 @@ def hessian_at_null(shape: NetworkShape, theta: Theta, dataset: Dataset):
         raise DataError("constant response: centered norm is zero")
     n = dataset.n
     sp0 = float(act_deriv(shape.activations[0], 0.0))
-    W2 = theta.deep[0]
-    w3 = theta.deep[1]
-    W2_hat = W2 / _row_norms(W2)[:, None]
-    w3_hat = w3 / _row_norms(w3)[:, None]
+    W2_hat, _ = normalize_rows(theta.deep[0])
+    w3_hat, _ = normalize_rows(theta.deep[1])
     v = (w3_hat @ W2_hat).ravel()  # 1 x p2 row
     H_b1 = n * sp0**4 * np.outer(v, v) / nrm
     w3r = w3_hat.ravel()
@@ -148,14 +145,9 @@ def descent_direction_certificate(
         d /= np.abs(d).sum()
         pert = theta.copy()
         offset = 0
-        arrays = pert.theta1_arrays()
-        for i, a in enumerate(arrays):
-            chunk = d[offset : offset + a.size].reshape(a.shape)
+        for a in pert.theta1_arrays():
+            a += step * d[offset : offset + a.size].reshape(a.shape)
             offset += a.size
-            if i == 0:
-                pert.W1 = pert.W1 + step * chunk
-            else:
-                pert.biases[i - 1] = pert.biases[i - 1] + step * chunk
         if objective_value(shape, pert, dataset, pen) < base - 1e-12:
             return False
     return True

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -199,18 +199,8 @@ class SimReport:
         return out
 
     def to_dict(self) -> dict:
-        cfg = {
-            "kind": self.config.kind,
-            "n": self.config.n,
-            "p1": self.config.p1,
-            "s_values": list(self.config.s_values),
-            "noise_sd": self.config.noise_sd,
-            "coef": self.config.coef,
-            "repetitions": self.config.repetitions,
-            "seed": self.config.seed,
-            "test_n": self.config.test_n,
-        }
-        return {"config": cfg, "rows": self.rows, "aggregates": self.aggregates()}
+        return {"config": asdict(self.config), "rows": self.rows,
+                "aggregates": self.aggregates()}
 
     def write_json(self, path):
         with open(path, "w") as fh:
@@ -270,21 +260,10 @@ def run_sweep(
                 "lambda_qut": None,
             }
             try:
-                qut = compute_qut(
-                    dataset,
-                    shape,
-                    QutConfig(qut_config.alpha, qut_config.mc_samples, sub_seed),
-                )
+                qut = compute_qut(dataset, shape, replace(qut_config, seed=sub_seed))
                 row["lambda_qut"] = qut.lambda_qut
-                cfg = SolverConfig(
-                    lr_descent=solver_config.lr_descent,
-                    descent_epochs=solver_config.descent_epochs,
-                    prox_max_iter=solver_config.prox_max_iter,
-                    prox_tol=solver_config.prox_tol,
-                    init_scale=solver_config.init_scale,
-                    seed=sub_seed,
-                )
-                result = fit(shape, dataset, qut.lambda_qut, cfg)
+                result = fit(shape, dataset, qut.lambda_qut,
+                             replace(solver_config, seed=sub_seed))
             except SparseAnnError:
                 row["failed"] = True
                 report.rows.append(row)

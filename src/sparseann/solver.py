@@ -14,12 +14,15 @@ import numpy as np
 
 from .errors import DegenerateParameterError, NumericalError
 from .network import (
+    PROB_FLOOR,
+    ROW_NORM_FLOOR,
     Dataset,
     NetworkShape,
-    ROW_NORM_FLOOR,
     Theta,
     forward,
     loss_and_grad,
+    loss_value,
+    normalize_rows,
 )
 from .objective import penalty_l1, prox_l1
 
@@ -68,9 +71,7 @@ class FitResult:
 
     @staticmethod
     def from_dict(d: dict):
-        from .network import NetworkShape as _NS
-
-        shape = _NS.from_dict(d["shape"])
+        shape = NetworkShape.from_dict(d["shape"])
         result = FitResult(
             theta=Theta.from_dict(d["theta"]),
             support=[int(j) for j in d["support"]],
@@ -99,7 +100,7 @@ def _null_intercept(dataset: Dataset, link: str) -> np.ndarray:
     """Intercept minimizing the loss for the constant model."""
     if dataset.task == "regression":
         return dataset.Y.mean(axis=0)
-    p_hat = np.clip(dataset.Y.mean(axis=0), 1e-12, None)
+    p_hat = np.clip(dataset.Y.mean(axis=0), PROB_FLOOR, None)
     if link == "softmax":
         return np.log(p_hat)
     if link == "logit":
@@ -131,7 +132,7 @@ def init_theta(shape: NetworkShape, config: SolverConfig, rng: np.random.Generat
 
 
 def _unit_rows(W: np.ndarray) -> np.ndarray:
-    return W / np.linalg.norm(W, axis=1, keepdims=True)
+    return normalize_rows(W)[0]
 
 
 def _guard_rows(theta: Theta, rng: np.random.Generator):
@@ -145,13 +146,6 @@ def _guard_rows(theta: Theta, rng: np.random.Generator):
 
 def _loss_kind(dataset: Dataset) -> str:
     return "sqrt_l2" if dataset.task == "regression" else "cross_entropy"
-
-
-def _loss_only(shape, theta, dataset, loss_kind) -> float:
-    mu = forward(shape, theta, dataset.X)
-    if loss_kind == "sqrt_l2":
-        return float(np.linalg.norm(dataset.Y - mu))
-    return -float(np.sum(dataset.Y * np.log(np.clip(mu, 1e-12, None))))
 
 
 def fit(
@@ -185,14 +179,10 @@ def fit(
                 raise NumericalError(f"objective diverged in descent stage {stage}")
             trace.append(obj)
             lr = config.lr_descent
-            theta.W1 -= lr * (grad.W1 + lam * np.sign(theta.W1))
-            for i in range(len(theta.biases)):
-                theta.biases[i] -= lr * (
-                    grad.biases[i] + lam * np.sign(theta.biases[i])
-                )
-            for i in range(len(theta.deep)):
-                theta.deep[i] -= lr * grad.deep[i]
-            theta.c -= lr * grad.c
+            for a, g in zip(theta.theta1_arrays(), grad.theta1_arrays()):
+                a -= lr * (g + lam * np.sign(a))
+            for a, g in zip(theta.theta2_arrays(), grad.theta2_arrays()):
+                a -= lr * g
             _guard_rows(theta, rng)
         traces.append(trace)
 
@@ -229,19 +219,15 @@ def fit(
 
 def _prox_step(shape, theta, dataset, loss_kind, loss, grad, lam, step):
     """One ISTA step with backtracking halving until sufficient decrease."""
-    from .objective import soft_threshold
-
     while True:
-        cand = theta.copy()
-        cand.W1 = soft_threshold(theta.W1 - step * grad.W1, step * lam)
-        cand.biases = [
-            soft_threshold(b - step * g, step * lam)
-            for b, g in zip(theta.biases, grad.biases)
-        ]
-        cand.deep = [W - step * g for W, g in zip(theta.deep, grad.deep)]
-        cand.c = theta.c - step * grad.c
+        cand = prox_l1(Theta(
+            theta.W1 - step * grad.W1,
+            [b - step * g for b, g in zip(theta.biases, grad.biases)],
+            [W - step * g for W, g in zip(theta.deep, grad.deep)],
+            theta.c - step * grad.c,
+        ), step, lam)
         try:
-            new_loss = _loss_only(shape, cand, dataset, loss_kind)
+            new_loss = loss_value(loss_kind, dataset.Y, forward(shape, cand, dataset.X))
         except (NumericalError, DegenerateParameterError, ValueError):
             new_loss = np.inf
         # quadratic upper-bound test for the smooth part

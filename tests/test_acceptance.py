@@ -112,6 +112,7 @@ def test_criterion_04_null_local_minimum_certificate():
             f"{failures}/10 instances found a descent direction")
 
 
+@pytest.mark.slow
 def test_criterion_05_null_calibration():
     sim = SimConfig.linear(n=100, p1=50, s_values=(0,), repetitions=100, seed=500)
     shape = NetworkShape.make((50, 20, 1), "identity", ActivationSpec(20.0, 1.0, 1.0))
@@ -124,6 +125,7 @@ def test_criterion_05_null_calibration():
             f"nonempty support in {frac:.2f} of 100 repetitions")
 
 
+@pytest.mark.slow
 def test_criterion_06_linear_phase_transition():
     sim = SimConfig.linear(s_values=(1, 8, 16), repetitions=20, seed=600)
     shape = NetworkShape.make((200, 20, 1), "identity", ActivationSpec(20.0, 1.0, 1.0))
@@ -138,6 +140,7 @@ def test_criterion_06_linear_phase_transition():
             f"PESR(1)={pesr[1]:.2f}, PESR(8)={pesr[8]:.2f}, PESR(16)={pesr[16]:.2f}")
 
 
+@pytest.mark.slow
 def test_criterion_07_nonlinear_recovery():
     sim = SimConfig.absdiff(s_values=(2, 16), repetitions=10, seed=700)
     shape = NetworkShape.make((50, 20, 1), "identity", ActivationSpec(20.0, 1.0, 1.0))

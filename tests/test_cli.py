@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from sparseann import NetworkShape, Theta, forward
+from sparseann import FitResult, NetworkShape, SolverConfig, Theta, forward, init_theta
 from sparseann.cli import load_csv, main
 
 
@@ -214,3 +214,85 @@ def test_constant_response_exits_4(tmp_path):
 def test_missing_task_exits_2(regression_csv):
     code = main(["qut", "--data", str(regression_csv), "--response", "y"])
     assert code == 2
+
+
+def _reject_non_finite(token):
+    raise ValueError(f"non-finite number {token} in JSON output")
+
+
+def _config_file(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def _csv_with_cell(tmp_path, value, column):
+    """Small regression CSV whose second row holds ``value`` in ``column``."""
+    path = tmp_path / "cell.csv"
+    rows = [[1.0, 2.0], [0.5, 3.0], [2.0, 1.0]]
+    rows[1][["x", "y"].index(column)] = value
+    _write_csv(path, ["x", "y"], rows)
+    return str(path)
+
+
+def _model_file(tmp_path, edit):
+    """Saved fit of a (4, 3, 1) network over x0..x3, changed by ``edit``."""
+    shape = NetworkShape.make((4, 3, 1))
+    theta = init_theta(shape, SolverConfig(), np.random.default_rng(0))
+    saved = FitResult(theta, [0, 1, 2, 3], 1.0, [1.0]).to_dict(shape)
+    saved["feature_names"] = ["x0", "x1", "x2", "x3"]
+    edit(saved)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(saved))
+    return str(path)
+
+
+_RELU = {"shape": {"activation": {"M": "inf", "u0": 0.0}}}
+_REG = ["--response", "y", "--task", "regression", "--mc-samples", "100"]
+
+# name -> (exit code, builder(tmp_path, regression csv path) -> argv before --out)
+CLI_EXIT_CASES = {
+    "qut_ok": (0, lambda t, d: ["qut", "--data", d, *_REG]),
+    "predict_ok": (0, lambda t, d: ["predict", "--data", d, "--model",
+                                    _model_file(t, lambda m: None)]),
+    "qut_nan_feature": (3, lambda t, d: ["qut", "--data", _csv_with_cell(t, "nan", "x"),
+                                         *_REG]),
+    "qut_inf_response": (3, lambda t, d: ["qut", "--data", _csv_with_cell(t, "-inf", "y"),
+                                          *_REG]),
+    "fit_nan_feature": (3, lambda t, d: ["fit", "--data", _csv_with_cell(t, "nan", "x"),
+                                         *_REG]),
+    "activation_m_not_a_number": (2, lambda t, d: [
+        "qut", "--data", d, *_REG,
+        "--config", _config_file(t, {"shape": {"activation": {"M": "abc"}}})]),
+    "hidden_not_a_number": (2, lambda t, d: [
+        "qut", "--data", d, *_REG, "--config", _config_file(t, {"shape": {"hidden": ["x"]}})]),
+    "qut_relu_limit": (2, lambda t, d: [
+        "qut", "--data", d, *_REG, "--config", _config_file(t, _RELU)]),
+    "fit_relu_limit": (2, lambda t, d: [
+        "fit", "--data", d, *_REG, "--config", _config_file(t, _RELU)]),
+    "simulate_relu_limit": (2, lambda t, d: [
+        "simulate", "--reps", "1", "--n", "20", "--p1", "4",
+        "--config", _config_file(t, _RELU)]),
+    "predict_model_without_shape": (2, lambda t, d: [
+        "predict", "--data", d, "--model", _model_file(t, lambda m: m.pop("shape"))]),
+    "predict_theta_mismatches_shape": (2, lambda t, d: [
+        "predict", "--data", d, "--model",
+        _model_file(t, lambda m: m["theta"].update(W1=[r[:3] for r in m["theta"]["W1"]]))]),
+    "predict_wrong_feature_count": (3, lambda t, d: [
+        "predict", "--data", d, "--model", _model_file(t, lambda m: m.pop("feature_names"))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_EXIT_CASES))
+def test_cli_exit_paths(name, regression_csv, tmp_path, capsys):
+    code, build = CLI_EXIT_CASES[name]
+    out = tmp_path / "out.json"
+    assert main([*build(tmp_path, str(regression_csv)), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+        json.loads(out.read_text(), parse_constant=_reject_non_finite)
+    else:
+        assert len(err.splitlines()) == 1 and err.endswith("\n")
+        assert not out.exists()

@@ -177,8 +177,6 @@ def test_hessian_rejects_constant_response():
 def test_penalty_spec_validation():
     with pytest.raises(ValueError):
         PenaltySpec(-1.0)
-    with pytest.raises(ValueError):
-        PenaltySpec(1.0, q=2)
 
 
 def test_null_point_is_local_min_above_threshold():
