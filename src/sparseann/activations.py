@@ -36,10 +36,10 @@ class ActivationSpec:
     def __post_init__(self):
         if not self.M > 0:
             raise ValueError(f"M must be positive, got {self.M}")
-        if not self.k > 0:
-            raise ValueError(f"k must be positive, got {self.k}")
-        if self.u0 < 0:
-            raise ValueError(f"u0 must be nonnegative, got {self.u0}")
+        if not 0 < self.k < math.inf:
+            raise ValueError(f"k must be positive and finite, got {self.k}")
+        if not 0 <= self.u0 < math.inf:
+            raise ValueError(f"u0 must be nonnegative and finite, got {self.u0}")
 
     @property
     def is_relu_limit(self) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .activations import ActivationSpec
-from .errors import ConfigError, DataError, NumericalError, SparseAnnError
+from .errors import ConfigError, DataError, NumericalError, SparseAnnError, check_seed
 from .network import Dataset, NetworkShape, Theta, forward, predict_class
 from .qut import QutConfig, _deriv0_product, compute_qut
 from .simulate import SimConfig, run_sweep
@@ -81,24 +82,34 @@ def _read_csv(path):
 
 def _numeric_columns(path, header, rows, idxs) -> np.ndarray:
     """Columns ``idxs`` of the data rows as a float matrix; every cell finite."""
-    X = np.empty((len(rows), len(idxs)))
-    for r, row in enumerate(rows):
-        for c, i in enumerate(idxs):
-            cell = row[i].strip()
-            if cell == "":
-                raise DataError(f"{path}: missing value at row {r + 2}, "
-                                f"column {header[i]!r}")
-            try:
-                X[r, c] = float(cell)
-            except ValueError:
-                raise DataError(f"{path}: non-numeric cell {cell!r} at "
-                                f"row {r + 2}, column {header[i]!r}")
+    cells = (row[i] for row in rows for i in idxs)
+    try:
+        X = np.fromiter(map(float, cells), float, len(rows) * len(idxs))
+    except ValueError:
+        _raise_bad_cell(path, header, rows, idxs)
+    X = X.reshape(len(rows), len(idxs))
     bad = np.argwhere(~np.isfinite(X))
     if bad.size:
         r, c = bad[0]
         raise DataError(f"{path}: non-finite cell {rows[r][idxs[c]].strip()!r} at "
                         f"row {r + 2}, column {header[idxs[c]]!r}")
     return X
+
+
+def _raise_bad_cell(path, header, rows, idxs):
+    """Name the first cell of columns ``idxs`` that does not parse as a number."""
+    for r, row in enumerate(rows):
+        for i in idxs:
+            cell = row[i].strip()
+            if cell == "":
+                raise DataError(f"{path}: missing value at row {r + 2}, "
+                                f"column {header[i]!r}")
+            try:
+                float(cell)
+            except ValueError:
+                raise DataError(f"{path}: non-numeric cell {cell!r} at "
+                                f"row {r + 2}, column {header[i]!r}") from None
+    raise DataError(f"{path}: the numeric columns do not parse")
 
 
 def load_csv(path, response: str, task: str) -> Dataset:
@@ -184,9 +195,9 @@ def _qut_config(cfg: dict, args) -> QutConfig:
 
 
 def _seed_of(cfg: dict, args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return int(cfg.get("seed", 0))
+    seed = args.seed if getattr(args, "seed", None) is not None else cfg.get("seed", 0)
+    check_seed(seed, ConfigError)
+    return seed
 
 
 def _resolve_io(cfg: dict, args):
@@ -241,6 +252,8 @@ def cmd_qut(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if args.lam is not None and not 0.0 <= args.lam < math.inf:
+        raise ConfigError(f"--lambda must be a finite non-negative number, got {args.lam!r}")
     cfg, task, dataset, shape, out = _load_inputs(args)
     if args.lam is not None:
         lam = args.lam

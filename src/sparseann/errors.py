@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the seed check shared across the package."""
+
+from numbers import Integral
 
 
 class SparseAnnError(Exception):
@@ -19,3 +21,9 @@ class NumericalError(SparseAnnError):
 
 class DegenerateParameterError(SparseAnnError):
     """A normalized weight row has (numerically) zero norm."""
+
+
+def check_seed(seed, error=ValueError):
+    """Raise ``error`` unless ``seed`` is a non-negative integer (not a bool)."""
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise error(f"seed must be a non-negative integer, got {seed!r}")

@@ -16,8 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import act_deriv
-from .errors import DataError
+from .errors import DataError, check_seed
 from .network import Dataset, NetworkShape
+
+# Numbers in one block of null responses, and in its product with X: a few MB
+# of transient memory whatever n and p1 are.
+_BLOCK_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -31,6 +35,7 @@ class QutConfig:
             raise ValueError("alpha must be in (0, 1)")
         if self.mc_samples < 100:
             raise ValueError("need at least 100 Monte-Carlo samples")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -87,31 +92,46 @@ def _width_factor(shape: NetworkShape) -> float:
     return float(np.sqrt(np.prod(w[2:l]))) if l >= 3 else 1.0
 
 
-def _as_column(Y: np.ndarray) -> np.ndarray:
-    Y = np.asarray(Y, dtype=float)
-    return Y.reshape(-1, 1) if Y.ndim == 1 else Y
+def _threshold_scale(shape: NetworkShape) -> float:
+    """Factor common to every lambda0 of one network shape."""
+    return _width_factor(shape) * _deriv0_product(shape)
+
+
+def _lambda0_block(X: np.ndarray, Y: np.ndarray, m: int, regression: bool) -> np.ndarray:
+    """Unscaled lambda0 of each m-column draw in Y (n x draws*m), centring Y in place.
+
+    Regression divides the largest |X' Yc| entry of a draw by the norm of
+    its centred responses; classification takes the largest row l1 norm of
+    the draw's p1 x m block of X' Yc.
+    """
+    Y -= Y.mean(axis=0)
+    A = X.T @ Y
+    A = np.abs(A, out=A).reshape(X.shape[1], -1, m)  # p1 x draws x m
+    if not regression:
+        return A.sum(axis=2).max(axis=0)
+    nrm = np.sqrt(np.einsum("ij,ij->j", Y, Y).reshape(-1, m).sum(axis=1))
+    if nrm.min() < 1e-12:
+        raise DataError("constant response: zero-thresholding value is 0/0")
+    return A.max(axis=(0, 2)) / nrm
+
+
+def _lambda0_one(Y: np.ndarray, X: np.ndarray, shape: NetworkShape, regression: bool) -> float:
+    """lambda0 of one response matrix, the one-draw case of _lambda0_block."""
+    Y = np.array(Y, dtype=float)  # a copy: the block formula centres in place
+    if Y.ndim == 1:
+        Y = Y.reshape(-1, 1)
+    value = _lambda0_block(np.asarray(X, dtype=float), Y, Y.shape[1], regression)[0]
+    return _threshold_scale(shape) * float(value)
 
 
 def lambda0_regression(Y: np.ndarray, X: np.ndarray, shape: NetworkShape) -> float:
     """Closed-form zero-thresholding value for the square-root l2 loss."""
-    Y = _as_column(Y)
-    X = np.asarray(X, dtype=float)
-    Yc = Y - Y.mean(axis=0)
-    nrm = float(np.linalg.norm(Yc))
-    if nrm < 1e-12:
-        raise DataError("constant response: zero-thresholding value is 0/0")
-    corr = float(np.max(np.abs(X.T @ Yc)))
-    return _width_factor(shape) * _deriv0_product(shape) * corr / nrm
+    return _lambda0_one(Y, X, shape, regression=True)
 
 
 def lambda0_classification(Y: np.ndarray, X: np.ndarray, shape: NetworkShape) -> float:
     """Closed-form zero-thresholding value for cross-entropy with softmax."""
-    Y = np.asarray(Y, dtype=float)
-    X = np.asarray(X, dtype=float)
-    Yc = Y - Y.mean(axis=0)
-    A = X.T @ Yc  # p1 x m
-    row_l1 = np.abs(A).sum(axis=1)
-    return _width_factor(shape) * _deriv0_product(shape) * float(row_l1.max())
+    return _lambda0_one(Y, X, shape, regression=False)
 
 
 def lambda0(dataset: Dataset, shape: NetworkShape) -> float:
@@ -250,25 +270,41 @@ def sample_null_classification(
     return Y
 
 
+def _draws_per_block(n: int, p1: int, m: int) -> int:
+    """Null draws evaluated together, at least one.
+
+    The response block (n x draws*m) and its product with X (p1 x draws*m)
+    each hold at most _BLOCK_ENTRIES numbers.
+    """
+    return max(1, _BLOCK_ENTRIES // (max(n, p1) * m))
+
+
 def compute_qut(dataset: Dataset, shape: NetworkShape, config: QutConfig) -> QutResult:
     """Monte-Carlo (1 - alpha) quantile of lambda0 under the constant-model null.
 
     Each sample uses its own RNG stream derived from (seed, sample index),
-    so results do not depend on evaluation order.
+    so results do not depend on evaluation order.  The draws are written
+    into the columns of one response block and evaluated together with a
+    single product against X per block; the samples equal one-draw-at-a-time
+    evaluation up to rounding.
     """
-    n = dataset.n
-    M = config.mc_samples
-    samples = np.empty(M)
-    if dataset.task == "classification":
+    n, m = dataset.n, dataset.n_outputs
+    regression = dataset.task == "regression"
+    if not regression:
         p_hat = dataset.Y.mean(axis=0)
-    for i in range(M):
-        rng = np.random.default_rng([config.seed, i])
-        if dataset.task == "regression":
-            Y0 = sample_null_regression(n, rng)
-            samples[i] = lambda0_regression(Y0, dataset.X, shape)
-        else:
-            Y0 = sample_null_classification(n, p_hat, rng)
-            samples[i] = lambda0_classification(Y0, dataset.X, shape)
+    M = config.mc_samples
+    per_block = _draws_per_block(n, dataset.n_features, m)
+    block = np.empty((n, min(per_block, M) * m), order="F")
+    samples = np.empty(M)
+    for lo in range(0, M, per_block):
+        hi = min(lo + per_block, M)
+        Y = block[:, : (hi - lo) * m]
+        for j, i in enumerate(range(lo, hi)):
+            rng = np.random.default_rng([config.seed, i])
+            Y[:, j * m:(j + 1) * m] = (sample_null_regression(n, rng) if regression
+                                       else sample_null_classification(n, p_hat, rng))
+        samples[lo:hi] = _lambda0_block(dataset.X, Y, m, regression)
+    samples *= _threshold_scale(shape)
     samples.sort()
     # conservative empirical quantile: the ceil((1-alpha) M) order statistic
     rank = int(np.ceil((1.0 - config.alpha) * M))

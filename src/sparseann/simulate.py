@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .activations import ActivationSpec
-from .errors import ConfigError, SparseAnnError
+from .errors import ConfigError, SparseAnnError, check_seed
 from .network import Dataset, NetworkShape, Theta, forward
 from .qut import QutConfig, compute_qut
 from .solver import SolverConfig, fit
@@ -31,6 +31,7 @@ class SimConfig:
     def __post_init__(self):
         if self.kind not in ("linear", "absdiff"):
             raise ConfigError(f"unknown simulation kind {self.kind!r}")
+        check_seed(self.seed, ConfigError)
         for s in self.s_values:
             if s > self.p1:
                 raise ConfigError("sparsity s cannot exceed p1")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateParameterError, NumericalError
+from .errors import DegenerateParameterError, NumericalError, check_seed
 from .network import (
     PROB_FLOOR,
     ROW_NORM_FLOOR,
@@ -43,6 +43,7 @@ class SolverConfig:
             raise ValueError("invalid proximal-phase parameters")
         if self.init_scale < 0:
             raise ValueError("init_scale must be nonnegative")
+        check_seed(self.seed)
 
 
 @dataclass

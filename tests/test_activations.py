@@ -143,6 +143,13 @@ def test_invalid_specs_rejected():
         ActivationSpec(u0=-0.1)
 
 
+@pytest.mark.parametrize("kw", [{"u0": math.nan}, {"u0": math.inf}, {"k": math.inf},
+                                {"k": math.nan}])
+def test_nonfinite_shift_and_power_rejected(kw):
+    with pytest.raises(ValueError):
+        ActivationSpec(**kw)
+
+
 def test_nonfinite_input_rejected():
     with pytest.raises(ValueError):
         act_value(ActivationSpec(), float("nan"))

@@ -67,6 +67,17 @@ def test_load_csv_error_names_cell(tmp_path):
         load_csv(path, "y", "regression")
 
 
+def test_load_csv_parses_cells_like_float(tmp_path):
+    cells = [[" 1.5", "+2", "-0"], ["3e-2 ", " -4.25E+1 ", "+0.0"], ["1_0", "  .5", "7."]]
+    path = tmp_path / "cells.csv"
+    _write_csv(path, ["a", "b", "y"], cells)
+    ds = load_csv(path, "y", "regression")
+    want_X = [[float(c) for c in row[:2]] for row in cells]
+    want_Y = [[float(row[2])] for row in cells]
+    assert ds.X.tolist() == want_X and ds.Y.tolist() == want_Y
+    assert np.signbit(ds.Y[0, 0])  # "-0" keeps its sign
+
+
 def test_load_csv_missing_value(tmp_path):
     path = tmp_path / "gap.csv"
     _write_csv(path, ["x", "y"], [[1.0, 2.0], ["", 3.0]])
@@ -280,6 +291,23 @@ CLI_EXIT_CASES = {
         _model_file(t, lambda m: m["theta"].update(W1=[r[:3] for r in m["theta"]["W1"]]))]),
     "predict_wrong_feature_count": (3, lambda t, d: [
         "predict", "--data", d, "--model", _model_file(t, lambda m: m.pop("feature_names"))]),
+    "qut_negative_seed": (2, lambda t, d: ["qut", "--data", d, *_REG, "--seed", "-1"]),
+    "qut_seed_not_a_number": (2, lambda t, d: [
+        "qut", "--data", d, *_REG, "--config", _config_file(t, {"qut": {"seed": "x"}})]),
+    "qut_fractional_seed": (2, lambda t, d: [
+        "qut", "--data", d, *_REG, "--config", _config_file(t, {"qut": {"seed": 1.5}})]),
+    "fit_solver_seed_not_a_number": (2, lambda t, d: [
+        "fit", "--data", d, *_REG, "--config", _config_file(t, {"solver": {"seed": "x"}})]),
+    "simulate_negative_seed": (2, lambda t, d: [
+        "simulate", "--reps", "1", "--n", "20", "--p1", "4", "--seed", "-1"]),
+    "fit_negative_lambda": (2, lambda t, d: ["fit", "--data", d, *_REG, "--lambda", "-1"]),
+    "fit_nan_lambda": (2, lambda t, d: ["fit", "--data", d, *_REG, "--lambda", "nan"]),
+    "qut_nan_u0": (2, lambda t, d: [
+        "qut", "--data", d, *_REG,
+        "--config", _config_file(t, {"shape": {"activation": {"M": 20, "u0": "nan"}}})]),
+    "qut_infinite_u0": (2, lambda t, d: [
+        "qut", "--data", d, *_REG,
+        "--config", _config_file(t, {"shape": {"activation": {"M": 20, "u0": "inf"}}})]),
 }
 
 

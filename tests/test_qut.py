@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 from fd_utils import random_instance
 
+from sparseann import qut as qut_module
 from sparseann import (
     ActivationSpec,
+    ConfigError,
     DataError,
     Dataset,
     NetworkShape,
     QutConfig,
     QutResult,
+    SimConfig,
+    SolverConfig,
+    act_deriv,
     compute_qut,
     lambda0,
     lambda0_classification,
@@ -198,3 +203,84 @@ def test_qut_result_serialization_round_trip():
         res.seed,
     )
     assert (again.task, again.link) == (res.task, res.link)
+
+
+def _per_draw_reference(dataset, shape, config):
+    """Sorted lambda0 samples evaluated one null draw at a time.
+
+    Each draw comes from its own stream default_rng([seed, i]) and costs one
+    X' Yc product, as in the unbatched Monte-Carlo loop.
+    """
+    X, n = dataset.X, dataset.n
+    scale = np.sqrt(np.prod(shape.widths[2:-1]))
+    for spec in shape.activations:
+        scale *= act_deriv(spec, 0.0)
+    p_hat = dataset.Y.mean(axis=0)
+    samples = np.empty(config.mc_samples)
+    for i in range(config.mc_samples):
+        rng = np.random.default_rng([config.seed, i])
+        if dataset.task == "regression":
+            Y0 = sample_null_regression(n, rng)
+            Yc = Y0 - Y0.mean(axis=0)
+            samples[i] = scale * np.max(np.abs(X.T @ Yc)) / np.linalg.norm(Yc)
+        else:
+            Y0 = sample_null_classification(n, p_hat, rng)
+            Yc = Y0 - Y0.mean(axis=0)
+            samples[i] = scale * np.abs(X.T @ Yc).sum(axis=1).max()
+    return np.sort(samples)
+
+
+def _null_dataset(task, n, p1, seed=12):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p1))
+    if task == "regression":
+        return Dataset(X=X, Y=rng.standard_normal((n, 1)), task=task)
+    Y = np.eye(3)[rng.choice(3, size=n, p=[0.5, 0.3, 0.2])]
+    return Dataset(X=X, Y=Y, task=task)
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+@pytest.mark.parametrize("mc_samples", [101, 257])
+def test_qut_blocks_match_per_draw_loop(task, mc_samples):
+    # n and p1 split the draws into several blocks with a partial last one
+    n, p1 = 5000, 20
+    dataset = _null_dataset(task, n, p1)
+    per_block = qut_module._draws_per_block(n, p1, dataset.n_outputs)
+    assert 1 < per_block < mc_samples and mc_samples % per_block != 0
+    link = "identity" if task == "regression" else "softmax"
+    shape = NetworkShape.make((p1, 4, 3, dataset.n_outputs), link)  # width factor sqrt(3)
+    config = QutConfig(mc_samples=mc_samples, seed=9)
+    got = compute_qut(dataset, shape, config)
+    want = _per_draw_reference(dataset, shape, config)
+    assert np.allclose(got.lambda_samples, want, rtol=1e-12, atol=0.0)
+    rank = int(np.ceil((1.0 - config.alpha) * mc_samples))
+    assert got.lambda_qut == got.lambda_samples[rank - 1]
+
+
+def test_qut_block_of_one_draw_matches_per_draw_loop():
+    # a single draw already exceeds the block budget, so every block holds one
+    n, p1 = qut_module._BLOCK_ENTRIES + 1, 3
+    assert qut_module._draws_per_block(n, p1, 1) == 1
+    dataset = _null_dataset("regression", n, p1)
+    shape = NetworkShape.make((p1, 2, 1), "identity")
+    config = QutConfig(mc_samples=100, seed=4)
+    got = compute_qut(dataset, shape, config)
+    want = _per_draw_reference(dataset, shape, config)
+    assert np.allclose(got.lambda_samples, want, rtol=1e-12, atol=0.0)
+
+
+def test_lambda0_does_not_change_its_input():
+    dataset = _null_dataset("regression", 30, 4)
+    Y = dataset.Y.copy()
+    lambda0_regression(dataset.Y, dataset.X, NetworkShape.make((4, 3, 1), "identity"))
+    assert np.array_equal(dataset.Y, Y)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "x", True, None])
+def test_configs_reject_bad_seeds(seed):
+    with pytest.raises(ValueError, match="seed"):
+        QutConfig(seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        SolverConfig(seed=seed)
+    with pytest.raises(ConfigError, match="seed"):
+        SimConfig.linear(seed=seed)
