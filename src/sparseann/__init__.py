@@ -1,7 +1,6 @@
 """Sparse-input neural networks with quantile-threshold penalty selection."""
 
 from .activations import (
-    DEFAULT_ACTIVATION,
     RELU,
     ActivationSpec,
     act_deriv,
@@ -22,7 +21,6 @@ from .network import (
     forward,
     link_apply,
     loss_and_grad,
-    predict,
     predict_class,
 )
 from .objective import (
@@ -42,7 +40,6 @@ from .qut import (
     lambda0_classification,
     lambda0_oracle,
     lambda0_regression,
-    null_gradient_supnorm,
     sample_null_classification,
     sample_null_regression,
 )

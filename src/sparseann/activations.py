@@ -55,7 +55,6 @@ class ActivationSpec:
         return ActivationSpec(M=m, u0=float(d.get("u0", 1.0)), k=float(d.get("k", 1.0)))
 
 
-DEFAULT_ACTIVATION = ActivationSpec(M=20.0, u0=1.0, k=1.0)
 RELU = ActivationSpec(M=math.inf, u0=0.0, k=1.0)
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .activations import ActivationSpec
-from .errors import ConfigError, DataError, NumericalError, SparseAnnError, check_seed
+from .errors import ConfigError, DataError, NumericalError, SparseAnnError, check_int
 from .network import Dataset, NetworkShape, Theta, forward, predict_class
 from .qut import QutConfig, _deriv0_product, compute_qut
 from .simulate import SimConfig, run_sweep
@@ -196,7 +196,7 @@ def _qut_config(cfg: dict, args) -> QutConfig:
 
 def _seed_of(cfg: dict, args) -> int:
     seed = args.seed if getattr(args, "seed", None) is not None else cfg.get("seed", 0)
-    check_seed(seed, ConfigError)
+    check_int(seed, "seed", error=ConfigError)
     return seed
 
 

@@ -1,4 +1,4 @@
-"""Exception types and the seed check shared across the package."""
+"""Exception types and the integer check shared across the package."""
 
 from numbers import Integral
 
@@ -23,7 +23,7 @@ class DegenerateParameterError(SparseAnnError):
     """A normalized weight row has (numerically) zero norm."""
 
 
-def check_seed(seed, error=ValueError):
-    """Raise ``error`` unless ``seed`` is a non-negative integer (not a bool)."""
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
-        raise error(f"seed must be a non-negative integer, got {seed!r}")
+def check_int(value, name: str, low: int = 0, error=ValueError):
+    """Raise ``error`` unless ``value`` is an integer (not a bool) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise error(f"{name} must be an integer >= {low}, got {value!r}")

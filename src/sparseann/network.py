@@ -9,6 +9,7 @@ differentiate through the row normalization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,9 +74,16 @@ class NetworkShape:
         return self.widths[-1]
 
     @property
-    def param_count(self) -> int:
+    def param_shapes(self) -> list:
+        """Shape of each parameter array, in ``Theta.all_arrays()`` order."""
         w = self.widths
-        return sum(w[k + 1] * (w[k] + 1) for k in range(self.n_layers))
+        hidden = range(1, self.n_layers)
+        return ([(w[1], w[0])] + [(w[k],) for k in hidden]
+                + [(w[k + 1], w[k]) for k in hidden] + [(w[-1],)])
+
+    @property
+    def param_count(self) -> int:
+        return sum(math.prod(s) for s in self.param_shapes)
 
     def to_dict(self) -> dict:
         return {
@@ -127,27 +135,13 @@ class Theta:
 
     @staticmethod
     def zeros(shape: NetworkShape) -> "Theta":
-        w = shape.widths
+        arrays = [np.zeros(s) for s in shape.param_shapes]
         l = shape.n_layers
-        return Theta(
-            W1=np.zeros((w[1], w[0])),
-            biases=[np.zeros(w[k + 1]) for k in range(l - 1)],
-            deep=[np.zeros((w[k], w[k - 1])) for k in range(2, l + 1)],
-            c=np.zeros(w[-1]),
-        )
+        return Theta(arrays[0], arrays[1:l], arrays[l:-1], arrays[-1])
 
     def check_shapes(self, shape: NetworkShape):
-        w = shape.widths
-        l = shape.n_layers
-        ok = (
-            self.W1.shape == (w[1], w[0])
-            and len(self.biases) == l - 1
-            and all(b.shape == (w[k + 1],) for k, b in enumerate(self.biases))
-            and len(self.deep) == l - 1
-            and all(m.shape == (w[k + 2], w[k + 1]) for k, m in enumerate(self.deep))
-            and self.c.shape == (w[-1],)
-        )
-        if not ok:
+        if (len(self.biases) != len(self.deep)
+                or [a.shape for a in self.all_arrays()] != shape.param_shapes):
             raise ValueError("parameter shapes do not match the network shape")
 
     def to_dict(self) -> dict:
@@ -247,34 +241,27 @@ def forward(shape: NetworkShape, theta: Theta, X: np.ndarray) -> np.ndarray:
 
 
 def _forward_cached(shape: NetworkShape, theta: Theta, X: np.ndarray):
+    """Output and what the backward pass reuses: pre-activations, activations
+    (X first) and the (W_hat, norms) of each deep matrix."""
     theta.check_shapes(shape)
     if X.ndim != 2 or X.shape[1] != shape.n_inputs:
         raise ValueError(
             f"X must be n x {shape.n_inputs}, got {X.shape}"
         )
-    l = shape.n_layers
+    deep_hat = [normalize_rows(W) for W in theta.deep]
+    weights = [theta.W1, *(W_hat for W_hat, _ in deep_hat)]
+    offsets = [*theta.biases, theta.c]
     pre_acts = []
     acts = [X]
-    deep_hat = []  # (W_hat, norms) of each deep matrix, reused by the backward pass
-    a = X
-    # hidden layers 1 .. l-1 (layer 1 unnormalized, deeper ones row-normalized)
-    for k in range(l - 1):
-        if k == 0:
-            pre = a @ theta.W1.T + theta.biases[0]
-        else:
-            deep_hat.append(normalize_rows(theta.deep[k - 1]))
-            pre = a @ deep_hat[-1][0].T + theta.biases[k]
-        a = act_value(shape.activations[k], pre)
-        pre_acts.append(pre)
-        acts.append(a)
-    deep_hat.append(normalize_rows(theta.deep[l - 2]))
-    Z = a @ deep_hat[-1][0].T + theta.c
+    for k, spec in enumerate(shape.activations):
+        pre_acts.append(acts[k] @ weights[k].T + offsets[k])
+        acts.append(act_value(spec, pre_acts[k]))
+    Z = acts[-1] @ weights[-1].T + offsets[-1]
     if shape.link == "logit":
         mu = link_apply("logit", Z[:, :-1])
     else:
         mu = link_apply(shape.link, Z)
-    cache = {"pre_acts": pre_acts, "acts": acts, "deep_hat": deep_hat, "Z": Z, "mu": mu}
-    return mu, cache
+    return mu, (pre_acts, acts, deep_hat)
 
 
 def loss_value(loss_kind: str, Y: np.ndarray, mu: np.ndarray) -> float:
@@ -321,38 +308,25 @@ def loss_and_grad(shape: NetworkShape, theta: Theta, dataset: Dataset, loss_kind
 
     Differentiates through the row normalization of the deep layers.
     """
-    mu, cache = _forward_cached(shape, theta, dataset.X)
+    mu, (pre_acts, acts, deep_hat) = _forward_cached(shape, theta, dataset.X)
     loss, dmu = _dloss_dmu(loss_kind, dataset.Y, mu)
     dZ = _dZ_from_dmu(shape.link, mu, dmu)
 
-    l = shape.n_layers
-    acts = cache["acts"]
-    pre_acts = cache["pre_acts"]
-    deep_hat = cache["deep_hat"]
-    grad = Theta.zeros(shape)
-
-    grad.c = dZ.sum(axis=0)
-    Wl_hat, norms_l = deep_hat[l - 2]
-    grad.deep[l - 2] = _normalized_row_backprop(Wl_hat, norms_l, dZ.T @ acts[l - 1])
-    dA = dZ @ Wl_hat
-
-    for k in range(l - 1, 0, -1):  # hidden layer index, 1-based
-        dpre = dA * act_deriv(shape.activations[k - 1], pre_acts[k - 1])
-        grad.biases[k - 1] = dpre.sum(axis=0)
-        if k == 1:
-            grad.W1 = dpre.T @ acts[0]
-        else:
-            W_hat, norms = deep_hat[k - 2]
-            grad.deep[k - 2] = _normalized_row_backprop(W_hat, norms, dpre.T @ acts[k - 1])
-            dA = dpre @ W_hat
-    return loss, grad
-
-
-def predict(shape: NetworkShape, theta: Theta, X_new: np.ndarray) -> np.ndarray:
-    """Forward pass on new inputs."""
-    return forward(shape, theta, np.asarray(X_new, dtype=float))
+    d_weights = []  # both filled from the output layer down
+    d_offsets = []
+    # dZ is the gradient w.r.t. acts[k] @ weights[k].T + offsets[k]
+    for k in range(shape.n_layers - 1, 0, -1):
+        W_hat, norms = deep_hat[k - 1]
+        d_offsets.append(dZ.sum(axis=0))
+        d_weights.append(_normalized_row_backprop(W_hat, norms, dZ.T @ acts[k]))
+        dZ = (dZ @ W_hat) * act_deriv(shape.activations[k - 1], pre_acts[k - 1])
+    d_offsets.append(dZ.sum(axis=0))
+    d_weights.append(dZ.T @ acts[0])
+    d_weights.reverse()
+    d_offsets.reverse()
+    return loss, Theta(d_weights[0], d_offsets[:-1], d_weights[1:], d_offsets[-1])
 
 
 def predict_class(shape: NetworkShape, theta: Theta, X_new: np.ndarray) -> np.ndarray:
     """Class index per row (argmax of the output, ties to the smallest index)."""
-    return np.argmax(predict(shape, theta, X_new), axis=1)
+    return np.argmax(forward(shape, theta, X_new), axis=1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import act_deriv
-from .errors import DataError, check_seed
+from .errors import DataError, check_int
 from .network import Dataset, NetworkShape
 
 # Numbers in one block of null responses, and in its product with X: a few MB
@@ -33,9 +33,8 @@ class QutConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        if self.mc_samples < 100:
-            raise ValueError("need at least 100 Monte-Carlo samples")
-        check_seed(self.seed)
+        check_int(self.mc_samples, "mc_samples", 100)
+        check_int(self.seed, "seed")
 
 
 @dataclass
@@ -143,32 +142,6 @@ def lambda0(dataset: Dataset, shape: NetworkShape) -> float:
 def _normalize_rows(W: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(W, axis=-1, keepdims=True)
     return W / np.maximum(norms, 1e-300)
-
-
-def null_gradient_supnorm(dataset: Dataset, shape: NetworkShape, deep_mats) -> float:
-    """Sup-norm of the penalized-parameter gradient at the null point.
-
-    ``deep_mats`` are the deep weight matrices W2..Wl (rows normalized
-    internally).  At W1 = 0 with the loss-minimizing intercept, the bias
-    components of the gradient vanish because the centered responses sum
-    to zero, and the W1 components factor into the input-response
-    cross-correlation times a product of the deep matrices.
-    """
-    X, Y = dataset.X, dataset.Y
-    Yc = Y - Y.mean(axis=0)
-    A = X.T @ Yc  # p1 x m
-    B = None
-    for W in deep_mats:
-        W_hat = _normalize_rows(np.asarray(W, dtype=float))
-        B = W_hat if B is None else W_hat @ B
-    # B is m x p2
-    val = float(np.max(np.abs(A @ B.T))) * _deriv0_product(shape)
-    if dataset.task == "regression":
-        nrm = float(np.linalg.norm(Yc))
-        if nrm < 1e-12:
-            raise DataError("constant response")
-        val /= nrm
-    return val
 
 
 def lambda0_oracle(

@@ -8,11 +8,12 @@ warm-started from the previous stage.  A final proximal-gradient phase
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateParameterError, NumericalError, check_seed
+from .errors import DegenerateParameterError, NumericalError, check_int
 from .network import (
     PROB_FLOOR,
     ROW_NORM_FLOOR,
@@ -37,13 +38,18 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr_descent <= 0 or self.descent_epochs < 0:
-            raise ValueError("descent parameters must be positive")
-        if self.prox_max_iter < 1 or not 0 < self.prox_tol < 1:
-            raise ValueError("invalid proximal-phase parameters")
-        if self.init_scale < 0:
-            raise ValueError("init_scale must be nonnegative")
-        check_seed(self.seed)
+        if not 0 < self.lr_descent < math.inf:
+            raise ValueError(f"lr_descent must be positive and finite, "
+                             f"got {self.lr_descent!r}")
+        if not 0 < self.prox_tol < 1:
+            raise ValueError(f"prox_tol must be in (0, 1), got {self.prox_tol!r}")
+        # rng.uniform(-s, s) needs the width 2 s to be finite
+        if not 0 <= 2 * self.init_scale < math.inf:
+            raise ValueError(f"init_scale must be nonnegative with 2 * init_scale finite, "
+                             f"got {self.init_scale!r}")
+        check_int(self.descent_epochs, "descent_epochs")
+        check_int(self.prox_max_iter, "prox_max_iter", 1)
+        check_int(self.seed, "seed")
 
 
 @dataclass
@@ -73,9 +79,10 @@ class FitResult:
     @staticmethod
     def from_dict(d: dict):
         shape = NetworkShape.from_dict(d["shape"])
+        theta = Theta.from_dict(d["theta"])
         result = FitResult(
-            theta=Theta.from_dict(d["theta"]),
-            support=[int(j) for j in d["support"]],
+            theta=theta,
+            support=estimated_support(theta),
             lambda_used=float(d["lambda_used"]),
             stage_lambdas=[float(x) for x in d["stage_lambdas"]],
             objective_trace=[list(map(float, t)) for t in d["objective_trace"]],
@@ -118,15 +125,11 @@ def init_theta(shape: NetworkShape, config: SolverConfig, rng: np.random.Generat
     With a dataset given, the intercept starts at the constant-model
     minimizer so the start point matches the null of the threshold theory.
     """
-    w = shape.widths
-    l = shape.n_layers
     s = config.init_scale
-    theta = Theta(
-        W1=rng.uniform(-s, s, size=(w[1], w[0])),
-        biases=[rng.uniform(-s, s, size=w[k + 1]) for k in range(l - 1)],
-        deep=[_unit_rows(rng.standard_normal((w[k], w[k - 1]))) for k in range(2, l + 1)],
-        c=np.zeros(w[-1]),
-    )
+    theta = Theta.zeros(shape)
+    for a in theta.theta1_arrays():
+        a[...] = rng.uniform(-s, s, size=a.shape)
+    theta.deep = [_unit_rows(rng.standard_normal(W.shape)) for W in theta.deep]
     if dataset is not None:
         theta.c = _null_intercept(dataset, shape.link)
     return theta

@@ -6,7 +6,15 @@ import json
 import numpy as np
 import pytest
 
-from sparseann import FitResult, NetworkShape, SolverConfig, Theta, forward, init_theta
+from sparseann import (
+    FitResult,
+    NetworkShape,
+    SolverConfig,
+    Theta,
+    estimated_support,
+    forward,
+    init_theta,
+)
 from sparseann.cli import load_csv, main
 
 
@@ -151,6 +159,17 @@ def test_fit_then_predict_round_trip(regression_csv, tmp_path):
     assert np.array_equal(got, forward(shape, theta, ds.X))
 
 
+def test_model_file_support_is_read_from_its_theta(regression_csv, tmp_path):
+    model = tmp_path / "model.json"
+    assert main([
+        "fit", "--config", str(_fast_config(tmp_path)), "--data", str(regression_csv),
+        "--response", "y", "--task", "regression", "--seed", "1", "--out", str(model),
+    ]) == 0
+    _, result = FitResult.from_dict(json.loads(model.read_text()))
+    assert result.support  # the response depends on x1
+    assert result.support == estimated_support(result.theta)
+
+
 def test_classification_fit_predict_labels(classification_csv, tmp_path):
     model = tmp_path / "model.json"
     cfg = _fast_config(tmp_path)
@@ -261,6 +280,14 @@ def _model_file(tmp_path, edit):
 _RELU = {"shape": {"activation": {"M": "inf", "u0": 0.0}}}
 _REG = ["--response", "y", "--task", "regression", "--mc-samples", "100"]
 
+
+def _configured(section, key, value, command="fit"):
+    """Builder of a ``command`` run whose config alone sets ``section.key`` to ``value``."""
+    extra = ["--lambda", "1"] if command == "fit" else []
+    return lambda t, d: [command, "--data", d, "--response", "y", "--task", "regression",
+                         *extra, "--config", _config_file(t, {section: {key: value}})]
+
+
 # name -> (exit code, builder(tmp_path, regression csv path) -> argv before --out)
 CLI_EXIT_CASES = {
     "qut_ok": (0, lambda t, d: ["qut", "--data", d, *_REG]),
@@ -308,6 +335,15 @@ CLI_EXIT_CASES = {
     "qut_infinite_u0": (2, lambda t, d: [
         "qut", "--data", d, *_REG,
         "--config", _config_file(t, {"shape": {"activation": {"M": 20, "u0": "inf"}}})]),
+    "qut_fractional_mc_samples": (2, _configured("qut", "mc_samples", 150.5, "qut")),
+    "qut_nan_mc_samples": (2, _configured("qut", "mc_samples", float("nan"), "qut")),
+    "fit_fractional_descent_epochs": (2, _configured("solver", "descent_epochs", 10.5)),
+    "fit_fractional_prox_max_iter": (2, _configured("solver", "prox_max_iter", 2.5)),
+    "fit_bool_prox_max_iter": (2, _configured("solver", "prox_max_iter", True)),
+    "fit_nan_init_scale": (2, _configured("solver", "init_scale", float("nan"))),
+    "fit_infinite_init_scale": (2, _configured("solver", "init_scale", float("inf"))),
+    "fit_init_scale_overflows_when_doubled": (2, _configured("solver", "init_scale", 1e308)),
+    "fit_nan_lr_descent": (2, _configured("solver", "lr_descent", float("nan"))),
 }
 
 

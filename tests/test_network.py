@@ -15,7 +15,6 @@ from sparseann import (
     Theta,
     forward,
     link_apply,
-    predict,
     predict_class,
 )
 from sparseann.network import loss_and_grad
@@ -185,10 +184,3 @@ def test_predict_class_ties_take_smallest_index():
     labels = predict_class(shape, theta, np.zeros((4, 2)))
     assert np.all(labels == 0)
 
-
-def test_predict_equals_forward_for_identity_link():
-    rng = np.random.default_rng(9)
-    shape, theta, dataset = random_instance(rng, n_layers=2)
-    assert np.array_equal(
-        predict(shape, theta, dataset.X), forward(shape, theta, dataset.X)
-    )
