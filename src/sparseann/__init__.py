@@ -24,7 +24,6 @@ from .network import (
     predict_class,
 )
 from .objective import (
-    PenaltySpec,
     hessian_at_null,
     loss_cross_entropy,
     loss_sqrt_l2,

@@ -154,7 +154,7 @@ def _shape_from_config(cfg: dict, p1: int, m: int, task: str) -> NetworkShape:
         link = "identity" if task == "regression" else "softmax"
     try:
         hidden = shape_cfg.get("hidden", [20])
-        if not isinstance(hidden, list) or not hidden or any(int(h) < 1 for h in hidden):
+        if not isinstance(hidden, list) or not hidden:
             raise ConfigError("shape.hidden must be a nonempty list of positive widths")
         act_cfg = shape_cfg.get("activation")
         if act_cfg is None:
@@ -163,7 +163,7 @@ def _shape_from_config(cfg: dict, p1: int, m: int, task: str) -> NetworkShape:
             activation = tuple(ActivationSpec.from_dict(a) for a in act_cfg)
         else:
             activation = ActivationSpec.from_dict(act_cfg)
-        return NetworkShape.make((p1, *[int(h) for h in hidden], m), link, activation)
+        return NetworkShape.make((p1, *hidden, m), link, activation)
     except KeyError as exc:
         raise ConfigError(f"shape.activation needs the key {exc}")
     except (TypeError, ValueError) as exc:
@@ -287,7 +287,7 @@ def _load_model(path):
         shape = NetworkShape.from_dict(saved["shape"])
         theta = Theta.from_dict(saved["theta"])
         theta.check_shapes(shape)
-        if not all(np.all(np.isfinite(a)) for a in theta.all_arrays()):
+        if not np.all(np.isfinite(theta.flat)):
             raise ValueError("parameters must be finite")
         labels = saved.get("class_labels")
         if labels and len(labels) != shape.n_outputs:
@@ -342,7 +342,8 @@ def cmd_simulate(args) -> int:
             raise ConfigError(f"bad --s-grid {args.s_grid!r}")
     else:
         s_values = (0,)
-    kw = {"s_values": s_values, "repetitions": args.reps or 100, "seed": seed}
+    reps = 100 if args.reps is None else args.reps
+    kw = {"s_values": s_values, "repetitions": reps, "seed": seed}
     if args.n is not None:
         kw["n"] = args.n
     if args.p1 is not None:

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .activations import ActivationSpec, act_deriv, act_value
-from .errors import DegenerateParameterError, NumericalError
+from .errors import DataError, DegenerateParameterError, NumericalError, check_int
 
 LINKS = ("identity", "softmax", "logit")
 LOSSES = ("sqrt_l2", "cross_entropy")
@@ -38,12 +39,12 @@ class NetworkShape:
     activations: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        widths = tuple(int(w) for w in self.widths)
-        object.__setattr__(self, "widths", widths)
+        widths = tuple(self.widths)
         if len(widths) < 3:
             raise ValueError("need at least one hidden layer (>= 3 widths)")
-        if any(w < 1 for w in widths):
-            raise ValueError("all widths must be >= 1")
+        for w in widths:
+            check_int(w, "each width", 1)
+        object.__setattr__(self, "widths", tuple(int(w) for w in widths))
         if self.link not in LINKS:
             raise ValueError(f"unknown link {self.link!r}, expected one of {LINKS}")
         acts = tuple(self.activations)
@@ -73,15 +74,15 @@ class NetworkShape:
     def n_outputs(self) -> int:
         return self.widths[-1]
 
-    @property
-    def param_shapes(self) -> list:
-        """Shape of each parameter array, in ``Theta.all_arrays()`` order."""
+    @cached_property
+    def param_shapes(self) -> tuple:
+        """Shape of each parameter array, in the order of ``Theta.flat``."""
         w = self.widths
         hidden = range(1, self.n_layers)
-        return ([(w[1], w[0])] + [(w[k],) for k in hidden]
-                + [(w[k + 1], w[k]) for k in hidden] + [(w[-1],)])
+        return ((w[1], w[0]), *[(w[k],) for k in hidden],
+                *[(w[k + 1], w[k]) for k in hidden], (w[-1],))
 
-    @property
+    @cached_property
     def param_count(self) -> int:
         return sum(math.prod(s) for s in self.param_shapes)
 
@@ -101,47 +102,64 @@ class NetworkShape:
         )
 
 
-@dataclass
 class Theta:
-    """Network parameters split into the penalized and free parts.
+    """Network parameters in one vector ``flat``, with a view per array.
 
-    Penalized (theta1): ``W1`` (p2 x p1) and all hidden biases ``biases[k]``
-    (the bias of layer k+1).  Free (theta2): the deeper weight matrices
-    ``deep[i]`` = W_{i+2} whose rows get normalized in the forward pass, and
-    the output intercept ``c``.
+    ``flat`` holds, in order, ``W1`` (p2 x p1), the hidden biases
+    ``biases[k]`` (the bias of layer k+1), the deeper weight matrices
+    ``deep[i]`` = W_{i+2}, whose rows get normalized in the forward pass,
+    and the output intercept ``c``.  The penalized part comes first:
+    ``theta1`` (``W1`` and the biases) is ``flat[:n1]`` and the free part
+    ``theta2`` (the deep weights and ``c``) is ``flat[n1:]``.
+
+    The attributes cannot be rebound, so every view stays part of ``flat``;
+    write through them in place (``theta.c[...] = c``).
     """
 
-    W1: np.ndarray
-    biases: list
-    deep: list
-    c: np.ndarray
+    __slots__ = ("flat", "theta1", "theta2", "W1", "biases", "deep", "c", "_shapes")
+
+    def __init__(self, W1, biases, deep, c):
+        """Copy the given arrays into a new flat buffer."""
+        arrays = [np.asarray(a, dtype=float) for a in (W1, *biases, *deep, c)]
+        self._bind(np.concatenate([a.ravel() for a in arrays]),
+                   tuple(a.shape for a in arrays), len(biases))
+
+    def _bind(self, flat, shapes, n_hidden) -> "Theta":
+        views, start = [], 0
+        for s in shapes:
+            stop = start + math.prod(s)
+            views.append(flat[start:stop].reshape(s))
+            start = stop
+        n1 = sum(v.size for v in views[:n_hidden + 1])
+        for name, value in (("flat", flat), ("theta1", flat[:n1]), ("theta2", flat[n1:]),
+                            ("W1", views[0]), ("biases", tuple(views[1:n_hidden + 1])),
+                            ("deep", tuple(views[n_hidden + 1:-1])), ("c", views[-1]),
+                            ("_shapes", shapes)):
+            object.__setattr__(self, name, value)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Theta attributes are views into Theta.flat and cannot "
+                             f"be rebound; write in place (theta.{name}[...] = ...)")
+
+    @staticmethod
+    def from_flat(shape: NetworkShape, vec) -> "Theta":
+        """Wrap the vector ``vec`` (not a copy) in the layout of ``shape``."""
+        vec = np.asarray(vec, dtype=float)
+        if vec.shape != (shape.param_count,):
+            raise ValueError(f"need a vector of {shape.param_count} parameters, "
+                             f"got shape {vec.shape}")
+        return object.__new__(Theta)._bind(vec, shape.param_shapes, shape.n_layers - 1)
 
     def copy(self) -> "Theta":
-        return Theta(
-            self.W1.copy(),
-            [b.copy() for b in self.biases],
-            [w.copy() for w in self.deep],
-            self.c.copy(),
-        )
-
-    def theta1_arrays(self):
-        return [self.W1, *self.biases]
-
-    def theta2_arrays(self):
-        return [*self.deep, self.c]
-
-    def all_arrays(self):
-        return self.theta1_arrays() + self.theta2_arrays()
+        return object.__new__(Theta)._bind(self.flat.copy(), self._shapes, len(self.biases))
 
     @staticmethod
     def zeros(shape: NetworkShape) -> "Theta":
-        arrays = [np.zeros(s) for s in shape.param_shapes]
-        l = shape.n_layers
-        return Theta(arrays[0], arrays[1:l], arrays[l:-1], arrays[-1])
+        return Theta.from_flat(shape, np.zeros(shape.param_count))
 
     def check_shapes(self, shape: NetworkShape):
-        if (len(self.biases) != len(self.deep)
-                or [a.shape for a in self.all_arrays()] != shape.param_shapes):
+        if self._shapes != shape.param_shapes or len(self.biases) != shape.n_layers - 1:
             raise ValueError("parameter shapes do not match the network shape")
 
     def to_dict(self) -> dict:
@@ -154,12 +172,7 @@ class Theta:
 
     @staticmethod
     def from_dict(d: dict) -> "Theta":
-        return Theta(
-            W1=np.asarray(d["W1"], dtype=float),
-            biases=[np.asarray(b, dtype=float) for b in d["biases"]],
-            deep=[np.asarray(w, dtype=float) for w in d["deep"]],
-            c=np.asarray(d["c"], dtype=float),
-        )
+        return Theta(d["W1"], d["biases"], d["deep"], d["c"])
 
 
 @dataclass
@@ -177,6 +190,8 @@ class Dataset:
         self.Y = np.asarray(self.Y, dtype=float)
         if self.X.ndim != 2 or self.Y.ndim != 2:
             raise ValueError("X and Y must be 2-d arrays")
+        if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.Y))):
+            raise DataError("X and Y must be finite")
         if self.X.shape[0] != self.Y.shape[0]:
             raise ValueError("X and Y must have the same number of rows")
         if self.task not in ("regression", "classification"):

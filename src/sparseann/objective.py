@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .activations import act_deriv
@@ -16,17 +14,6 @@ from .network import (
     loss_value,
     normalize_rows,
 )
-
-
-@dataclass(frozen=True)
-class PenaltySpec:
-    """Penalty level lambda of the entrywise l1 penalty."""
-
-    lam: float
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
 
 
 def loss_sqrt_l2(Y: np.ndarray, mu: np.ndarray) -> float:
@@ -51,19 +38,21 @@ def loss_cross_entropy(Y: np.ndarray, P: np.ndarray) -> float:
 
 def penalty_l1(theta: Theta) -> float:
     """Sum of absolute values of the first-layer weights and all hidden biases."""
-    return float(sum(np.abs(a).sum() for a in theta.theta1_arrays()))
+    return float(np.abs(theta.theta1).sum())
 
 
 def objective_value(
-    shape: NetworkShape, theta: Theta, dataset: Dataset, penalty: PenaltySpec
+    shape: NetworkShape, theta: Theta, dataset: Dataset, lam: float
 ) -> float:
     """Loss plus lambda times the l1 penalty on the penalized parameters."""
+    if lam < 0:
+        raise ValueError("lambda must be nonnegative")
     mu = forward(shape, theta, dataset.X)
     if dataset.task == "regression":
         loss = loss_sqrt_l2(dataset.Y, mu)
     else:
         loss = loss_cross_entropy(dataset.Y, mu)
-    return loss + penalty.lam * penalty_l1(theta)
+    return loss + lam * penalty_l1(theta)
 
 
 def soft_threshold(w: np.ndarray, t: float) -> np.ndarray:
@@ -76,9 +65,7 @@ def prox_l1(theta: Theta, step: float, lam: float) -> Theta:
     if step <= 0:
         raise ValueError("step must be positive")
     out = theta.copy()
-    t = step * lam
-    out.W1 = soft_threshold(out.W1, t)
-    out.biases = [soft_threshold(b, t) for b in out.biases]
+    out.theta1[...] = soft_threshold(theta.theta1, step * lam)
     return out
 
 
@@ -129,25 +116,17 @@ def descent_direction_certificate(
     the penalized parameters along random unit-l1 directions with the
     given step and verifies the penalized objective never decreases.
     """
-    theta = theta2.copy()
-    theta.W1 = np.zeros_like(theta.W1)
-    theta.biases = [np.zeros_like(b) for b in theta.biases]
-    if dataset.task == "regression":
-        theta.c = dataset.Y.mean(axis=0)
-    else:
+    if dataset.task != "regression":
         raise ValueError("certificate implemented for regression only")
-    pen = PenaltySpec(lam)
-    base = objective_value(shape, theta, dataset, pen)
-    sizes = [a.size for a in theta.theta1_arrays()]
-    total = sum(sizes)
+    theta = theta2.copy()
+    theta.theta1[...] = 0.0
+    theta.c[...] = dataset.Y.mean(axis=0)
+    base = objective_value(shape, theta, dataset, lam)
     for _ in range(n_directions):
-        d = rng.standard_normal(total)
+        d = rng.standard_normal(theta.theta1.size)
         d /= np.abs(d).sum()
         pert = theta.copy()
-        offset = 0
-        for a in pert.theta1_arrays():
-            a += step * d[offset : offset + a.size].reshape(a.shape)
-            offset += a.size
-        if objective_value(shape, pert, dataset, pen) < base - 1e-12:
+        pert.theta1[...] += step * d
+        if objective_value(shape, pert, dataset, lam) < base - 1e-12:
             return False
     return True

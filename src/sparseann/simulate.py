@@ -31,8 +31,13 @@ class SimConfig:
     def __post_init__(self):
         if self.kind not in ("linear", "absdiff"):
             raise ConfigError(f"unknown simulation kind {self.kind!r}")
+        check_int(self.n, "n", 2, ConfigError)
+        check_int(self.p1, "p1", 1, ConfigError)
+        check_int(self.repetitions, "repetitions", 1, ConfigError)
+        check_int(self.test_n, "test_n", 1, ConfigError)
         check_int(self.seed, "seed", error=ConfigError)
         for s in self.s_values:
+            check_int(s, "each sparsity s", error=ConfigError)
             if s > self.p1:
                 raise ConfigError("sparsity s cannot exceed p1")
             if self.kind == "absdiff" and s % 2 != 0:
@@ -123,14 +128,13 @@ def exact_absdiff_network(h: int, p1: int, p2: int, amp: float = 10.0,
             theta.W1[half + i, 2 * i] = gain
             theta.W1[half + i, 2 * i + 1] = -gain
         theta.biases[0][:] = -1.0
-        theta.deep[0] = w2[None, :]
+        theta.deep[0][...] = w2
         # each active neuron's normalized weight is amp/nrm; the -1 shift per
         # neuron sums to 2h * amp / nrm, cancelled by the intercept
-        theta.c = np.array([2 * h * amp / nrm])
+        theta.c[...] = 2 * h * amp / nrm
     else:
         # no active neurons: zero biases keep every activation at zero
-        theta.deep[0] = np.ones((1, p2))
-        theta.c = np.array([0.0])
+        theta.deep[0][...] = 1.0
     return shape, theta
 
 

@@ -127,16 +127,11 @@ def init_theta(shape: NetworkShape, config: SolverConfig, rng: np.random.Generat
     """
     s = config.init_scale
     theta = Theta.zeros(shape)
-    for a in theta.theta1_arrays():
-        a[...] = rng.uniform(-s, s, size=a.shape)
-    theta.deep = [_unit_rows(rng.standard_normal(W.shape)) for W in theta.deep]
+    theta.theta1[...] = rng.uniform(-s, s, size=theta.theta1.size)
+    _guard_rows(theta, rng)  # every deep row is zero, so each is drawn
     if dataset is not None:
-        theta.c = _null_intercept(dataset, shape.link)
+        theta.c[...] = _null_intercept(dataset, shape.link)
     return theta
-
-
-def _unit_rows(W: np.ndarray) -> np.ndarray:
-    return normalize_rows(W)[0]
 
 
 def _guard_rows(theta: Theta, rng: np.random.Generator):
@@ -145,7 +140,7 @@ def _guard_rows(theta: Theta, rng: np.random.Generator):
         norms = np.linalg.norm(W, axis=1)
         bad = norms < ROW_NORM_FLOOR
         if np.any(bad):
-            W[bad] = _unit_rows(rng.standard_normal((int(bad.sum()), W.shape[1])))
+            W[bad] = normalize_rows(rng.standard_normal((int(bad.sum()), W.shape[1])))[0]
 
 
 def _loss_kind(dataset: Dataset) -> str:
@@ -183,10 +178,8 @@ def fit(
                 raise NumericalError(f"objective diverged in descent stage {stage}")
             trace.append(obj)
             lr = config.lr_descent
-            for a, g in zip(theta.theta1_arrays(), grad.theta1_arrays()):
-                a -= lr * (g + lam * np.sign(a))
-            for a, g in zip(theta.theta2_arrays(), grad.theta2_arrays()):
-                a -= lr * g
+            theta.theta1[...] -= lr * (grad.theta1 + lam * np.sign(theta.theta1))
+            theta.theta2[...] -= lr * grad.theta2
             _guard_rows(theta, rng)
         traces.append(trace)
 
@@ -224,23 +217,15 @@ def fit(
 def _prox_step(shape, theta, dataset, loss_kind, loss, grad, lam, step):
     """One ISTA step with backtracking halving until sufficient decrease."""
     while True:
-        cand = prox_l1(Theta(
-            theta.W1 - step * grad.W1,
-            [b - step * g for b, g in zip(theta.biases, grad.biases)],
-            [W - step * g for W, g in zip(theta.deep, grad.deep)],
-            theta.c - step * grad.c,
-        ), step, lam)
+        cand = prox_l1(Theta.from_flat(shape, theta.flat - step * grad.flat), step, lam)
         try:
             new_loss = loss_value(loss_kind, dataset.Y, forward(shape, cand, dataset.X))
         except (NumericalError, DegenerateParameterError, ValueError):
             new_loss = np.inf
         # quadratic upper-bound test for the smooth part
-        inner = 0.0
-        sq = 0.0
-        for a_new, a_old, g in zip(cand.all_arrays(), theta.all_arrays(), grad.all_arrays()):
-            delta = a_new - a_old
-            inner += float(np.sum(g * delta))
-            sq += float(np.sum(delta * delta))
+        delta = cand.flat - theta.flat
+        inner = float(np.sum(grad.flat * delta))
+        sq = float(np.sum(delta * delta))
         if new_loss <= loss + inner + sq / (2.0 * step) + 1e-12:
             return cand, new_loss, step
         step *= 0.5

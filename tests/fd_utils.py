@@ -3,8 +3,7 @@
 import numpy as np
 
 from sparseann import ActivationSpec, Dataset, NetworkShape, Theta
-from sparseann.network import loss_and_grad
-from sparseann.solver import _unit_rows
+from sparseann.network import loss_and_grad, normalize_rows
 
 
 def random_theta(shape: NetworkShape, rng: np.random.Generator, scale=0.5) -> Theta:
@@ -13,7 +12,8 @@ def random_theta(shape: NetworkShape, rng: np.random.Generator, scale=0.5) -> Th
     return Theta(
         W1=scale * rng.standard_normal((w[1], w[0])),
         biases=[scale * rng.standard_normal(w[k + 1]) for k in range(l - 1)],
-        deep=[_unit_rows(rng.standard_normal((w[k], w[k - 1]))) for k in range(2, l + 1)],
+        deep=[normalize_rows(rng.standard_normal((w[k], w[k - 1])))[0]
+              for k in range(2, l + 1)],
         c=scale * rng.standard_normal(w[-1]),
     )
 
@@ -42,38 +42,24 @@ def random_instance(rng, n_layers=2, link="identity", loss_kind="sqrt_l2",
     return shape, theta, dataset
 
 
-def flatten_theta(theta: Theta) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in theta.all_arrays()])
-
-
-def unflatten_into(theta: Theta, vec: np.ndarray) -> Theta:
-    out = theta.copy()
-    offset = 0
-    arrays = out.all_arrays()
-    for a in arrays:
-        a[...] = vec[offset : offset + a.size].reshape(a.shape)
-        offset += a.size
-    return out
-
-
 def fd_gradient(shape, theta, dataset, loss_kind, h=1e-5) -> np.ndarray:
     """Central finite differences of the loss over every parameter."""
-    x0 = flatten_theta(theta)
+    x0 = theta.flat
     g = np.empty_like(x0)
     for i in range(x0.size):
         xp = x0.copy()
         xp[i] += h
-        lp, _ = loss_and_grad(shape, unflatten_into(theta, xp), dataset, loss_kind)
+        lp, _ = loss_and_grad(shape, Theta.from_flat(shape, xp), dataset, loss_kind)
         xm = x0.copy()
         xm[i] -= h
-        lm, _ = loss_and_grad(shape, unflatten_into(theta, xm), dataset, loss_kind)
+        lm, _ = loss_and_grad(shape, Theta.from_flat(shape, xm), dataset, loss_kind)
         g[i] = (lp - lm) / (2.0 * h)
     return g
 
 
 def max_rel_grad_error(shape, theta, dataset, loss_kind) -> float:
     _, grad = loss_and_grad(shape, theta, dataset, loss_kind)
-    analytic = flatten_theta(grad)
+    analytic = grad.flat
     numeric = fd_gradient(shape, theta, dataset, loss_kind)
     scale = max(1.0, float(np.max(np.abs(numeric))))
     return float(np.max(np.abs(analytic - numeric))) / scale

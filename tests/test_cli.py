@@ -281,6 +281,13 @@ _RELU = {"shape": {"activation": {"M": "inf", "u0": 0.0}}}
 _REG = ["--response", "y", "--task", "regression", "--mc-samples", "100"]
 
 
+def _simulate(t, *extra):
+    """A small, fast linear ``simulate`` run with the arguments ``extra`` added."""
+    cfg = {"shape": {"hidden": [2]}, "solver": {"descent_epochs": 1, "prox_max_iter": 1}}
+    return ["simulate", "--sim-kind", "linear", "--n", "30", "--p1", "10",
+            "--mc-samples", "100", "--config", _config_file(t, cfg), *extra]
+
+
 def _configured(section, key, value, command="fit"):
     """Builder of a ``command`` run whose config alone sets ``section.key`` to ``value``."""
     extra = ["--lambda", "1"] if command == "fit" else []
@@ -344,6 +351,13 @@ CLI_EXIT_CASES = {
     "fit_infinite_init_scale": (2, _configured("solver", "init_scale", float("inf"))),
     "fit_init_scale_overflows_when_doubled": (2, _configured("solver", "init_scale", 1e308)),
     "fit_nan_lr_descent": (2, _configured("solver", "lr_descent", float("nan"))),
+    "simulate_zero_reps": (2, lambda t, d: _simulate(t, "--reps", "0")),
+    "simulate_negative_reps": (2, lambda t, d: _simulate(t, "--reps", "-3")),
+    "simulate_negative_sparsity": (2, lambda t, d: _simulate(t, "--reps", "1", "--s-grid", "-1")),
+    "simulate_one_sample": (2, lambda t, d: _simulate(t, "--reps", "1", "--n", "1")),
+    "hidden_fractional": (2, _configured("shape", "hidden", [2.7], "qut")),
+    "hidden_bool": (2, _configured("shape", "hidden", [True], "qut")),
+    "hidden_string": (2, _configured("shape", "hidden", ["3"], "qut")),
 }
 
 

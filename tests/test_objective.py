@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from fd_utils import random_instance
+from fd_utils import random_instance, random_theta
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +11,6 @@ from sparseann import (
     DataError,
     Dataset,
     NetworkShape,
-    PenaltySpec,
     Theta,
     forward,
     hessian_at_null,
@@ -68,11 +67,11 @@ def test_penalty_examples():
     theta = Theta.zeros(shape)
     theta.deep[0][:] = 1.0
     assert penalty_l1(theta) == 0.0
-    theta.W1 = np.array([[1.0, -2.0]])
-    theta.biases[0] = np.array([0.5])
+    theta.W1[...] = [[1.0, -2.0]]
+    theta.biases[0][...] = [0.5]
     assert penalty_l1(theta) == pytest.approx(3.5)
     # free parameters do not contribute
-    theta.c = np.array([100.0])
+    theta.c[...] = [100.0]
     assert penalty_l1(theta) == pytest.approx(3.5)
 
 
@@ -80,27 +79,35 @@ def test_penalty_column_permutation_invariance():
     shape = NetworkShape.make((4, 3, 1), "identity")
     theta = Theta.zeros(shape)
     theta.deep[0][:] = 1.0
-    theta.W1 = np.random.default_rng(1).standard_normal((3, 4))
+    theta.W1[...] = np.random.default_rng(1).standard_normal((3, 4))
     permuted = theta.copy()
-    permuted.W1 = theta.W1[:, ::-1].copy()
+    permuted.W1[...] = theta.W1[:, ::-1]
     assert penalty_l1(permuted) == pytest.approx(penalty_l1(theta))
+
+
+def test_penalty_equals_per_array_sum():
+    # the penalty sums theta1 in one pass; rounding bounds the difference
+    # from summing W1 and each bias separately
+    shape = NetworkShape.make((200, 20, 5, 1), "identity")
+    theta = random_theta(shape, np.random.default_rng(8))
+    per_array = sum(float(np.abs(a).sum()) for a in (theta.W1, *theta.biases))
+    assert penalty_l1(theta) == pytest.approx(per_array, rel=theta.theta1.size * 2.0**-52)
 
 
 def test_objective_additivity_and_null_value():
     rng = np.random.default_rng(2)
     shape, theta, dataset = random_instance(rng, n_layers=2)
-    bare = objective_value(shape, theta, dataset, PenaltySpec(0.0))
+    bare = objective_value(shape, theta, dataset, 0.0)
     mu = forward(shape, theta, dataset.X)
     assert bare == pytest.approx(loss_sqrt_l2(dataset.Y, mu))
     lam = 1.0
-    assert objective_value(shape, theta, dataset, PenaltySpec(lam)) == pytest.approx(
+    assert objective_value(shape, theta, dataset, lam) == pytest.approx(
         bare + lam * penalty_l1(theta)
     )
     # null point with the mean intercept: loss is the centered response norm
-    theta.W1 = np.zeros_like(theta.W1)
-    theta.biases = [np.zeros_like(b) for b in theta.biases]
-    theta.c = dataset.Y.mean(axis=0)
-    assert objective_value(shape, theta, dataset, PenaltySpec(0.0)) == pytest.approx(
+    theta.theta1[...] = 0.0
+    theta.c[...] = dataset.Y.mean(axis=0)
+    assert objective_value(shape, theta, dataset, 0.0) == pytest.approx(
         float(np.linalg.norm(dataset.Y - dataset.Y.mean(axis=0)))
     )
 
@@ -114,13 +121,11 @@ def test_prox_theta_only_touches_penalized_part():
     rng = np.random.default_rng(3)
     shape, theta, _ = random_instance(rng, n_layers=3)
     out = prox_l1(theta, step=0.1, lam=2.0)
-    for a, b in zip(out.theta2_arrays(), theta.theta2_arrays()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(out.theta2, theta.theta2)
     assert np.any(out.W1 != theta.W1)
     # lam = 0 is the identity on everything
     same = prox_l1(theta, step=0.1, lam=0.0)
-    for a, b in zip(same.all_arrays(), theta.all_arrays()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(same.flat, theta.flat)
 
 
 @settings(max_examples=200, deadline=None)
@@ -142,8 +147,8 @@ def test_hessian_at_null_hand_value():
     spec = ActivationSpec(50.0, 1.0, 1.0)
     shape = NetworkShape.make((3, 2, 1, 1), "identity", spec)
     theta = Theta.zeros(shape)
-    theta.deep[0] = np.array([[1.0, 1.0]])
-    theta.deep[1] = np.array([[5.0]])  # scale irrelevant after normalization
+    theta.deep[0][...] = [[1.0, 1.0]]
+    theta.deep[1][...] = [[5.0]]  # scale irrelevant after normalization
     X = np.zeros((2, 3))
     Y = np.array([[1.0], [-1.0]])
     dataset = Dataset(X=X, Y=Y, task="regression")
@@ -174,9 +179,11 @@ def test_hessian_rejects_constant_response():
         hessian_at_null(shape, theta, dataset)
 
 
-def test_penalty_spec_validation():
+def test_objective_rejects_negative_lambda():
+    rng = np.random.default_rng(6)
+    shape, theta, dataset = random_instance(rng, n_layers=2)
     with pytest.raises(ValueError):
-        PenaltySpec(-1.0)
+        objective_value(shape, theta, dataset, -1.0)
 
 
 def test_null_point_is_local_min_above_threshold():

@@ -8,7 +8,6 @@ from sparseann import (
     Dataset,
     FitResult,
     NetworkShape,
-    PenaltySpec,
     SolverConfig,
     estimated_support,
     fit,
@@ -41,8 +40,7 @@ def test_init_theta_reproducible_unit_rows():
     cfg = SolverConfig(seed=5)
     a = init_theta(shape, cfg, np.random.default_rng(5), dataset)
     b = init_theta(shape, cfg, np.random.default_rng(5), dataset)
-    for x, y in zip(a.all_arrays(), b.all_arrays()):
-        assert np.array_equal(x, y)
+    assert np.array_equal(a.flat, b.flat)
     for W in a.deep:
         assert np.allclose(np.linalg.norm(W, axis=1), 1.0)
     assert np.allclose(a.c, dataset.Y.mean(axis=0))
@@ -83,7 +81,7 @@ def test_zero_penalty_fits_everything():
     shape, _, dataset = random_instance(rng, n_layers=2, n=30)
     result = fit(shape, dataset, 0.0, FAST)
     assert result.support == list(range(shape.n_inputs))
-    fitted = objective_value(shape, result.theta, dataset, PenaltySpec(0.0))
+    fitted = objective_value(shape, result.theta, dataset, 0.0)
     constant = float(np.linalg.norm(dataset.Y - dataset.Y.mean(axis=0)))
     assert fitted < constant
 
@@ -124,8 +122,7 @@ def test_fit_deterministic_given_seed():
     cfg = SolverConfig(descent_epochs=100, prox_max_iter=300, seed=11)
     a = fit(shape, dataset, 1.0, cfg)
     b = fit(shape, dataset, 1.0, cfg)
-    for x, y in zip(a.theta.all_arrays(), b.theta.all_arrays()):
-        assert np.array_equal(x, y)
+    assert np.array_equal(a.theta.flat, b.theta.flat)
     assert a.support == b.support
 
 
@@ -139,9 +136,8 @@ def test_warm_start_usually_dominates_cold_start():
         lam = 0.9 * lambda0(dataset, shape)
         warm = fit(shape, dataset, lam, cfg, anneal=True)
         cold = fit(shape, dataset, lam, cfg, anneal=False)
-        pen = PenaltySpec(lam)
-        if objective_value(shape, warm.theta, dataset, pen) <= objective_value(
-            shape, cold.theta, dataset, pen
+        if objective_value(shape, warm.theta, dataset, lam) <= objective_value(
+            shape, cold.theta, dataset, lam
         ) + 1e-8:
             wins += 1
     assert wins >= 0.8 * trials
@@ -165,8 +161,7 @@ def test_fit_result_serialization_round_trip():
     assert shape2 == shape
     assert again.support == result.support
     assert again.lambda_used == result.lambda_used
-    for x, y in zip(again.theta.all_arrays(), result.theta.all_arrays()):
-        assert np.array_equal(x, y)
+    assert np.array_equal(again.theta.flat, result.theta.flat)
     X_new = np.random.default_rng(0).standard_normal((5, shape.n_inputs))
     assert np.array_equal(
         forward(shape, again.theta, X_new), forward(shape, result.theta, X_new)
