@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +46,11 @@ class ActivationSpec:
     def is_relu_limit(self) -> bool:
         return math.isinf(self.M)
 
+    @cached_property
+    def offset(self) -> float:
+        """f(0)^k, subtracted so that sigma(0) = 0."""
+        return _softplus_shifted(self, np.zeros(1))[0] ** self.k
+
     def to_dict(self) -> dict:
         return {"M": "inf" if self.is_relu_limit else self.M, "u0": self.u0, "k": self.k}
 
@@ -75,33 +81,41 @@ def _unwrap(out, scalar):
 
 
 def _softplus_shifted(spec: ActivationSpec, u):
-    """f(u) = (1/M) log(1 + exp(M (u + u0))), overflow-safe."""
+    """f(u) = (1/M) log(1 + exp(M (u + u0))), overflow-safe.
+
+    With v = u + u0, f is v where M v > _LINEAR_CUTOFF and exp(M v) / M where
+    M v < -_LINEAR_CUTOFF.  The whole-array steps below do the same
+    per-element operations as computing the three ranges apart, so each
+    value matches that bit for bit.
+    """
     v = u + spec.u0
     if spec.is_relu_limit:
-        return np.maximum(v, 0.0)
-    arg = spec.M * v
-    out = np.empty_like(arg, dtype=float)
-    hi = arg > _LINEAR_CUTOFF
-    lo = arg < -_LINEAR_CUTOFF
-    mid = ~(hi | lo)
-    out[hi] = v[hi]
-    out[lo] = np.exp(arg[lo]) / spec.M
-    out[mid] = np.log1p(np.exp(arg[mid])) / spec.M
+        return np.maximum(v, 0.0, out=v)
+    arg = v * spec.M
+    out = np.minimum(arg, _LINEAR_CUTOFF)
+    np.exp(out, out=out)
+    np.log1p(out, out=out, where=arg >= -_LINEAR_CUTOFF)
+    out /= spec.M
+    np.copyto(out, v, where=arg > _LINEAR_CUTOFF)
     return out
 
 
 def _logistic_shifted(spec: ActivationSpec, u):
-    """f'(u) = logistic(M (u + u0)), stable for large |arg|."""
+    """f'(u) = logistic(M (u + u0)), stable for large |arg|.
+
+    With e = exp(-|arg|) it is 1 / (1 + e) for arg >= 0 and e / (1 + e) below.
+    """
     v = u + spec.u0
     if spec.is_relu_limit:
         return np.where(v > 0, 1.0, np.where(v < 0, 0.0, 0.5))
-    arg = spec.M * v
-    out = np.empty_like(arg, dtype=float)
-    pos = arg >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arg[pos]))
-    e = np.exp(arg[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    arg = np.multiply(v, spec.M, out=v)
+    nonneg = arg >= 0
+    e = np.negative(np.abs(arg, out=arg), out=arg)
+    np.exp(e, out=e)
+    den = e + 1.0
+    np.copyto(e, 1.0, where=nonneg)
+    e /= den
+    return e
 
 
 def _pow(f, exponent):
@@ -122,17 +136,23 @@ def act_value(spec: ActivationSpec, u):
     u, scalar = _as_array(u)
     _check_finite(u)
     f = _softplus_shifted(spec, u)
-    f0 = _softplus_shifted(spec, np.zeros(1))[0]
-    return _unwrap((np.power(f, spec.k) - f0**spec.k) / spec.k, scalar)
+    if spec.k == 1.0:
+        f -= spec.offset
+    else:
+        np.power(f, spec.k, out=f)
+        f -= spec.offset
+        f /= spec.k
+    return _unwrap(f, scalar)
 
 
 def act_deriv(spec: ActivationSpec, u):
-    """sigma'(u) = f(u)^(k-1) f'(u)."""
+    """sigma'(u) = f(u)^(k-1) f'(u); at k = 1 that is the logistic f'(u) alone."""
     u, scalar = _as_array(u)
     _check_finite(u)
-    f = _softplus_shifted(spec, u)
     fp = _logistic_shifted(spec, u)
-    return _unwrap(_pow(f, spec.k - 1.0) * fp, scalar)
+    if spec.k != 1.0:
+        fp *= _pow(_softplus_shifted(spec, u), spec.k - 1.0)
+    return _unwrap(fp, scalar)
 
 
 def act_second_deriv(spec: ActivationSpec, u):

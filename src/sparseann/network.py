@@ -249,10 +249,14 @@ def link_apply(link: str, Z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def forward(shape: NetworkShape, theta: Theta, X: np.ndarray) -> np.ndarray:
-    """Network output for each row of X, an n x m matrix."""
-    mu, _ = _forward_cached(shape, theta, np.asarray(X, dtype=float))
-    return mu
+def forward(shape: NetworkShape, theta: Theta, X: np.ndarray, return_cache: bool = False):
+    """Network output for each row of X, an n x m matrix.
+
+    With ``return_cache`` it returns ``(mu, cache)``; ``loss_and_grad`` takes
+    that pair to skip its own forward pass at the same theta and X.
+    """
+    mu, cache = _forward_cached(shape, theta, np.asarray(X, dtype=float))
+    return (mu, cache) if return_cache else mu
 
 
 def _forward_cached(shape: NetworkShape, theta: Theta, X: np.ndarray):
@@ -269,8 +273,10 @@ def _forward_cached(shape: NetworkShape, theta: Theta, X: np.ndarray):
     pre_acts = []
     acts = [X]
     for k, spec in enumerate(shape.activations):
-        pre_acts.append(acts[k] @ weights[k].T + offsets[k])
-        acts.append(act_value(spec, pre_acts[k]))
+        pre = acts[k] @ weights[k].T
+        pre += offsets[k]
+        pre_acts.append(pre)
+        acts.append(act_value(spec, pre))
     Z = acts[-1] @ weights[-1].T + offsets[-1]
     if shape.link == "logit":
         mu = link_apply("logit", Z[:, :-1])
@@ -312,34 +318,40 @@ def _dZ_from_dmu(link: str, mu: np.ndarray, dmu: np.ndarray) -> np.ndarray:
 
 
 def _normalized_row_backprop(W_hat: np.ndarray, norms: np.ndarray,
-                             dW_hat: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. W given the gradient w.r.t. its row-normalized version."""
+                             dW_hat: np.ndarray, out: np.ndarray):
+    """Gradient w.r.t. W, written to ``out``, given the gradient w.r.t. its
+    row-normalized version."""
     dots = np.sum(dW_hat * W_hat, axis=1, keepdims=True)
-    return (dW_hat - dots * W_hat) / norms[:, None]
+    np.divide(dW_hat - dots * W_hat, norms[:, None], out=out)
 
 
-def loss_and_grad(shape: NetworkShape, theta: Theta, dataset: Dataset, loss_kind: str):
+def loss_and_grad(shape: NetworkShape, theta: Theta, dataset: Dataset, loss_kind: str,
+                  forward_pass=None):
     """Loss value and its exact gradient, a Theta-shaped structure.
 
     Differentiates through the row normalization of the deep layers.
+    ``forward_pass`` is the ``(mu, cache)`` that ``forward(..., return_cache=True)``
+    returned for this theta and ``dataset.X``; without it the forward pass runs here.
     """
-    mu, (pre_acts, acts, deep_hat) = _forward_cached(shape, theta, dataset.X)
+    if forward_pass is None:
+        forward_pass = _forward_cached(shape, theta, dataset.X)
+    mu, (pre_acts, acts, deep_hat) = forward_pass
     loss, dmu = _dloss_dmu(loss_kind, dataset.Y, mu)
     dZ = _dZ_from_dmu(shape.link, mu, dmu)
 
-    d_weights = []  # both filled from the output layer down
-    d_offsets = []
+    grad = Theta.zeros(shape)
+    d_weights = [grad.W1, *grad.deep]
+    d_offsets = [*grad.biases, grad.c]
     # dZ is the gradient w.r.t. acts[k] @ weights[k].T + offsets[k]
     for k in range(shape.n_layers - 1, 0, -1):
         W_hat, norms = deep_hat[k - 1]
-        d_offsets.append(dZ.sum(axis=0))
-        d_weights.append(_normalized_row_backprop(W_hat, norms, dZ.T @ acts[k]))
-        dZ = (dZ @ W_hat) * act_deriv(shape.activations[k - 1], pre_acts[k - 1])
-    d_offsets.append(dZ.sum(axis=0))
-    d_weights.append(dZ.T @ acts[0])
-    d_weights.reverse()
-    d_offsets.reverse()
-    return loss, Theta(d_weights[0], d_offsets[:-1], d_weights[1:], d_offsets[-1])
+        np.sum(dZ, axis=0, out=d_offsets[k])
+        _normalized_row_backprop(W_hat, norms, dZ.T @ acts[k], d_weights[k])
+        dZ = dZ @ W_hat
+        dZ *= act_deriv(shape.activations[k - 1], pre_acts[k - 1])
+    np.sum(dZ, axis=0, out=d_offsets[0])
+    np.matmul(dZ.T, acts[0], out=d_weights[0])
+    return loss, grad
 
 
 def predict_class(shape: NetworkShape, theta: Theta, X_new: np.ndarray) -> np.ndarray:

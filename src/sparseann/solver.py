@@ -134,19 +134,26 @@ def init_theta(shape: NetworkShape, config: SolverConfig, rng: np.random.Generat
     return theta
 
 
-def _guard_rows(theta: Theta, rng: np.random.Generator):
-    """Re-draw any deep weight row whose norm collapsed below the floor."""
+def _guard_rows(theta: Theta, rng: np.random.Generator) -> bool:
+    """Re-draw any deep weight row whose norm collapsed below the floor;
+    return whether one was."""
+    redrawn = False
     for W in theta.deep:
         norms = np.linalg.norm(W, axis=1)
         bad = norms < ROW_NORM_FLOOR
         if np.any(bad):
             W[bad] = normalize_rows(rng.standard_normal((int(bad.sum()), W.shape[1])))[0]
+            redrawn = True
+    return redrawn
 
 
 def _loss_kind(dataset: Dataset) -> str:
     return "sqrt_l2" if dataset.task == "regression" else "cross_entropy"
 
 
+# An overflow or an invalid operation means the iterates blew up: stop at the
+# first one, as a NumericalError, instead of warning and carrying inf and NaN on.
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def fit(
     shape: NetworkShape,
     dataset: Dataset,
@@ -167,41 +174,45 @@ def fit(
 
     for stage, lam in enumerate(lambdas):
         trace = []
-        for _ in range(config.descent_epochs):
-            try:
+        try:
+            for _ in range(config.descent_epochs):
                 loss, grad = loss_and_grad(shape, theta, dataset, loss_kind)
-            except ValueError:
-                # non-finite intermediates mean the iterates blew up
-                raise NumericalError(f"objective diverged in descent stage {stage}")
-            obj = loss + lam * penalty_l1(theta)
-            if not np.isfinite(obj):
-                raise NumericalError(f"objective diverged in descent stage {stage}")
-            trace.append(obj)
-            lr = config.lr_descent
-            theta.theta1[...] -= lr * (grad.theta1 + lam * np.sign(theta.theta1))
-            theta.theta2[...] -= lr * grad.theta2
-            _guard_rows(theta, rng)
+                obj = loss + lam * penalty_l1(theta)
+                if not np.isfinite(obj):
+                    raise NumericalError(f"objective diverged in descent stage {stage}")
+                trace.append(obj)
+                lr = config.lr_descent
+                theta.theta1[...] -= lr * (grad.theta1 + lam * np.sign(theta.theta1))
+                theta.theta2[...] -= lr * grad.theta2
+                _guard_rows(theta, rng)
+        except (ValueError, FloatingPointError):
+            # non-finite intermediates mean the iterates blew up
+            raise NumericalError(f"objective diverged in descent stage {stage}") from None
         traces.append(trace)
 
     lam = float(lambda_qut)
     trace = []
     step = 1.0
-    loss, grad = loss_and_grad(shape, theta, dataset, loss_kind)
-    obj = loss + lam * penalty_l1(theta)
-    for it in range(config.prox_max_iter):
-        trace.append(obj)
-        new_theta, new_loss, step = _prox_step(
-            shape, theta, dataset, loss_kind, loss, grad, lam, step
-        )
-        new_obj = new_loss + lam * penalty_l1(new_theta)
-        if not np.isfinite(new_obj):
-            raise NumericalError("objective diverged in the proximal stage")
-        _guard_rows(new_theta, rng)
-        done = abs(obj - new_obj) <= config.prox_tol * max(1.0, abs(obj))
-        theta, obj = new_theta, new_obj
-        if done:
-            break
+    try:
         loss, grad = loss_and_grad(shape, theta, dataset, loss_kind)
+        obj = loss + lam * penalty_l1(theta)
+        for it in range(config.prox_max_iter):
+            trace.append(obj)
+            new_theta, new_loss, step, new_pass = _prox_step(
+                shape, theta, dataset, loss_kind, loss, grad, lam, step
+            )
+            new_obj = new_loss + lam * penalty_l1(new_theta)
+            if not np.isfinite(new_obj):
+                raise NumericalError("objective diverged in the proximal stage")
+            if _guard_rows(new_theta, rng):
+                new_pass = None  # the trial's forward pass saw the old rows
+            done = abs(obj - new_obj) <= config.prox_tol * max(1.0, abs(obj))
+            theta, obj = new_theta, new_obj
+            if done:
+                break
+            loss, grad = loss_and_grad(shape, theta, dataset, loss_kind, new_pass)
+    except FloatingPointError:
+        raise NumericalError("objective diverged in the proximal stage") from None
     trace.append(obj)
     traces.append(trace)
 
@@ -215,19 +226,24 @@ def fit(
 
 
 def _prox_step(shape, theta, dataset, loss_kind, loss, grad, lam, step):
-    """One ISTA step with backtracking halving until sufficient decrease."""
+    """One ISTA step with backtracking halving until sufficient decrease.
+
+    Returns the new point, its loss, the step and the forward pass
+    ``(mu, cache)`` at the new point (None when no trial was accepted).
+    """
     while True:
         cand = prox_l1(Theta.from_flat(shape, theta.flat - step * grad.flat), step, lam)
         try:
-            new_loss = loss_value(loss_kind, dataset.Y, forward(shape, cand, dataset.X))
-        except (NumericalError, DegenerateParameterError, ValueError):
-            new_loss = np.inf
+            trial = forward(shape, cand, dataset.X, return_cache=True)
+            new_loss = loss_value(loss_kind, dataset.Y, trial[0])
+        except (NumericalError, DegenerateParameterError, ValueError, FloatingPointError):
+            trial, new_loss = None, np.inf
         # quadratic upper-bound test for the smooth part
         delta = cand.flat - theta.flat
         inner = float(np.sum(grad.flat * delta))
         sq = float(np.sum(delta * delta))
         if new_loss <= loss + inner + sq / (2.0 * step) + 1e-12:
-            return cand, new_loss, step
+            return cand, new_loss, step, trial
         step *= 0.5
         if step < 1e-14:
-            return theta.copy(), loss, step  # stuck; caller's tolerance will stop
+            return theta.copy(), loss, step, None  # stuck; caller's tolerance will stop

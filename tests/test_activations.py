@@ -9,6 +9,103 @@ from hypothesis import strategies as st
 
 from sparseann import RELU, ActivationSpec, act_deriv, act_second_deriv, act_value
 
+# Reference: the activation formulas computed range by range through boolean
+# masks, as the package first did.  The package must match them bit for bit.
+
+
+def _softplus_reference(spec, u):
+    v = u + spec.u0
+    if spec.is_relu_limit:
+        return np.maximum(v, 0.0)
+    arg = spec.M * v
+    out = np.empty_like(arg, dtype=float)
+    hi = arg > 30.0
+    lo = arg < -30.0
+    mid = ~(hi | lo)
+    out[hi] = v[hi]
+    out[lo] = np.exp(arg[lo]) / spec.M
+    out[mid] = np.log1p(np.exp(arg[mid])) / spec.M
+    return out
+
+
+def _logistic_reference(spec, u):
+    v = u + spec.u0
+    if spec.is_relu_limit:
+        return np.where(v > 0, 1.0, np.where(v < 0, 0.0, 0.5))
+    arg = spec.M * v
+    out = np.empty_like(arg, dtype=float)
+    pos = arg >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-arg[pos]))
+    e = np.exp(arg[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def _pow_reference(f, exponent):
+    if exponent == 0:
+        return np.ones_like(f)
+    if exponent < 0:
+        return np.where(f > 0, np.power(np.where(f > 0, f, 1.0), exponent), 0.0)
+    return np.power(f, exponent)
+
+
+def _value_reference(spec, u):
+    f = _softplus_reference(spec, u)
+    f0 = _softplus_reference(spec, np.zeros(1))[0]
+    return (np.power(f, spec.k) - f0**spec.k) / spec.k
+
+
+def _deriv_reference(spec, u):
+    f = _softplus_reference(spec, u)
+    return _pow_reference(f, spec.k - 1.0) * _logistic_reference(spec, u)
+
+
+def _edge_inputs(spec):
+    """Inputs around those where M (u + u0) is 0 or +-30, three ulps either side."""
+    scale = 1.0 if spec.is_relu_limit else spec.M
+    out = []
+    for target in (0.0, -30.0, 30.0):
+        u = np.float64(target / scale - spec.u0)
+        for _ in range(3):
+            u = np.nextafter(u, -np.inf)
+        for _ in range(7):
+            out.append(u)
+            u = np.nextafter(u, np.inf)
+    return np.array(out)
+
+
+ORACLE_SPECS = [ActivationSpec(M, u0, k) for M in (1.0, 20.0, 100.0, math.inf)
+                for u0 in (0.0, 1.0) for k in (0.5, 1.0, 2.0)]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: f"M={s.M},u0={s.u0},k={s.k}")
+def test_value_and_deriv_match_masked_reference_bitwise(spec):
+    us = np.concatenate([np.linspace(-5.0, 5.0, 2001), _edge_inputs(spec)])
+    assert _bits(act_value(spec, us)) == _bits(_value_reference(spec, us))
+    assert _bits(act_deriv(spec, us)) == _bits(_deriv_reference(spec, us))
+    grid = us[: us.size // 2 * 2].reshape(-1, 2)
+    assert _bits(act_value(spec, grid)) == _bits(_value_reference(spec, grid))
+    assert _bits(act_deriv(spec, grid)) == _bits(_deriv_reference(spec, grid))
+    for u in _edge_inputs(spec):
+        value, deriv = act_value(spec, float(u)), act_deriv(spec, float(u))
+        assert isinstance(value, float) and isinstance(deriv, float)
+        assert _bits(value) == _bits(_value_reference(spec, np.array([u]))[0])
+        assert _bits(deriv) == _bits(_deriv_reference(spec, np.array([u]))[0])
+
+
+def test_edge_inputs_reach_the_cutoffs_exactly():
+    # (M=20, u0=1): M (u + u0) hits 0 and +-30 exactly, with neighbours either side
+    spec = ActivationSpec(20.0, 1.0, 1.0)
+    args = (_edge_inputs(spec) + spec.u0) * spec.M
+    for target in (0.0, -30.0, 30.0):
+        assert target in args
+        assert np.any((args > target) & (args < target + 1e-12))
+        assert np.any((args < target) & (args > target - 1e-12))
+
 
 def test_value_zero_at_origin_for_many_specs():
     for M in (1.0, 5.0, 20.0, 100.0):

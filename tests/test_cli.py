@@ -351,6 +351,7 @@ CLI_EXIT_CASES = {
     "fit_infinite_init_scale": (2, _configured("solver", "init_scale", float("inf"))),
     "fit_init_scale_overflows_when_doubled": (2, _configured("solver", "init_scale", 1e308)),
     "fit_nan_lr_descent": (2, _configured("solver", "lr_descent", float("nan"))),
+    "fit_diverging_descent": (4, _configured("solver", "lr_descent", 1e300)),
     "simulate_zero_reps": (2, lambda t, d: _simulate(t, "--reps", "0")),
     "simulate_negative_reps": (2, lambda t, d: _simulate(t, "--reps", "-3")),
     "simulate_negative_sparsity": (2, lambda t, d: _simulate(t, "--reps", "1", "--s-grid", "-1")),

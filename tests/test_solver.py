@@ -1,5 +1,7 @@
 """Tests for the annealed warm-start schedule and the proximal refinement."""
 
+import warnings
+
 import numpy as np
 import pytest
 from fd_utils import random_instance
@@ -8,6 +10,7 @@ from sparseann import (
     Dataset,
     FitResult,
     NetworkShape,
+    NumericalError,
     SolverConfig,
     estimated_support,
     fit,
@@ -16,7 +19,9 @@ from sparseann import (
     lambda0,
     lambda_schedule,
     objective_value,
+    solver,
 )
+from sparseann.network import loss_and_grad
 
 FAST = SolverConfig(descent_epochs=150, prox_max_iter=500)
 
@@ -188,3 +193,34 @@ def test_solver_config_validation():
         SolverConfig(prox_tol=1.5)
     with pytest.raises(ValueError):
         SolverConfig(init_scale=-1.0)
+
+
+def test_diverging_fit_raises_numerical_error_without_warnings():
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((50, 10))
+    dataset = Dataset(X=X, Y=X[:, :1] + rng.standard_normal((50, 1)), task="regression")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="diverged in descent stage 0"):
+            fit(NetworkShape.make((10, 5, 1)), dataset, 1.0,
+                SolverConfig(lr_descent=1e300, descent_epochs=50))
+
+
+def test_reusing_the_accepted_trial_forward_pass_changes_no_bit(monkeypatch):
+    rng = np.random.default_rng(4)
+    shape, _, dataset = random_instance(rng, n_layers=3, n=30)
+    lam = 0.5 * lambda0(dataset, shape)
+    reused = fit(shape, dataset, lam, FAST)
+    handed = []
+
+    def recomputing(shape, theta, dataset, loss_kind, forward_pass=None):
+        handed.append(forward_pass is not None)
+        return loss_and_grad(shape, theta, dataset, loss_kind)
+
+    monkeypatch.setattr(solver, "loss_and_grad", recomputing)
+    again = fit(shape, dataset, lam, FAST)
+    # only the descent stages and the proximal stage's first gradient run their own forward pass
+    assert handed.count(False) == sum(map(len, again.objective_trace[:-1])) + 1
+    assert any(handed)
+    assert np.array_equal(again.theta.flat, reused.theta.flat)
+    assert again.objective_trace == reused.objective_trace
