@@ -1,9 +1,17 @@
-"""Two-phase fitting: annealed warm-start descent, then proximal refinement.
+"""Annealed warm start in proximal-gradient stages, then a safeguarded proximal phase.
 
 The penalty level is ramped up along a sigmoid schedule ending at the
-selected threshold; each stage runs small-step full-batch gradient descent
-warm-started from the previous stage.  A final proximal-gradient phase
-(ISTA with backtracking) sets penalized entries exactly to zero.
+selected threshold.  Each stage, warm-started from the previous one, runs
+fixed-step proximal gradient steps (ISTA): the penalized part theta1 takes
+``soft_threshold(theta1 - lr * g1, lr * lambda)``, so small entries become
+exact zeros, and the free part theta2 takes a plain gradient step.  A stage
+ends once its prox-gradient mapping ``max(|delta theta1|_inf / lr, |g2|_inf)``
+is at most ``STAGE_TOL * lambda``, or after ``descent_epochs`` steps, so each
+stage's objective trace has a variable length.  Deep weights below
+``DEEP_FLUSH`` in magnitude are set to zero after every update, so the
+outgoing weights of dead hidden units never reach slow subnormal numbers.
+A final proximal phase at the threshold itself (ISTA with backtracking)
+guards against an objective that still rises.
 """
 
 from __future__ import annotations
@@ -25,13 +33,21 @@ from .network import (
     loss_value,
     normalize_rows,
 )
-from .objective import penalty_l1, prox_l1
+from .objective import penalty_l1, prox_l1, soft_threshold
+
+# A descent stage ends once its prox-gradient mapping is at most STAGE_TOL * lambda.
+STAGE_TOL = 1e-3
+# Deep weights smaller than this are set to zero after every update.  The
+# outgoing weights of a hidden unit whose first-layer row is zero decay
+# towards subnormals, whose arithmetic is many times slower; a deep row never
+# has a norm below 1, so entries this small change no output.
+DEEP_FLUSH = 1e-150
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     lr_descent: float = 1e-2
-    descent_epochs: int = 800
+    descent_epochs: int = 800  # most steps a warm-start stage takes
     prox_max_iter: int = 2000
     prox_tol: float = 1e-8
     init_scale: float = 1.0
@@ -55,6 +71,10 @@ class SolverConfig:
 @dataclass
 class FitResult:
     """Fitted parameters, estimated support and per-stage objective traces.
+
+    ``objective_trace`` holds one list per descent stage, with one objective
+    per gradient evaluation (so its length varies with how soon the stage
+    converged), and last the proximal phase's list.
 
     ``support`` holds 0-based input-column indices whose first-layer weight
     column is not identically zero (the epsilon = 0 rule).
@@ -134,17 +154,19 @@ def init_theta(shape: NetworkShape, config: SolverConfig, rng: np.random.Generat
     return theta
 
 
-def _guard_rows(theta: Theta, rng: np.random.Generator) -> bool:
-    """Re-draw any deep weight row whose norm collapsed below the floor;
-    return whether one was."""
-    redrawn = False
+def _guard_rows(theta: Theta, rng: np.random.Generator):
+    """Re-draw any deep weight row whose norm is below the floor."""
     for W in theta.deep:
         norms = np.linalg.norm(W, axis=1)
         bad = norms < ROW_NORM_FLOOR
         if np.any(bad):
             W[bad] = normalize_rows(rng.standard_normal((int(bad.sum()), W.shape[1])))[0]
-            redrawn = True
-    return redrawn
+
+
+def _flush_deep(theta: Theta):
+    """Set deep weights below ``DEEP_FLUSH`` in magnitude to exactly zero."""
+    for W in theta.deep:
+        W[np.abs(W) < DEEP_FLUSH] = 0.0
 
 
 def _loss_kind(dataset: Dataset) -> str:
@@ -172,6 +194,7 @@ def fit(
     lambdas = lambda_schedule(lambda_qut) if anneal else [float(lambda_qut)]
     traces = []
 
+    lr = config.lr_descent
     for stage, lam in enumerate(lambdas):
         trace = []
         try:
@@ -181,10 +204,14 @@ def fit(
                 if not np.isfinite(obj):
                     raise NumericalError(f"objective diverged in descent stage {stage}")
                 trace.append(obj)
-                lr = config.lr_descent
-                theta.theta1[...] -= lr * (grad.theta1 + lam * np.sign(theta.theta1))
+                theta1 = soft_threshold(theta.theta1 - lr * grad.theta1, lr * lam)
+                mapping = max(np.max(np.abs(theta1 - theta.theta1)) / lr,
+                              np.max(np.abs(grad.theta2)))
+                theta.theta1[...] = theta1
                 theta.theta2[...] -= lr * grad.theta2
-                _guard_rows(theta, rng)
+                _flush_deep(theta)
+                if mapping <= STAGE_TOL * lam:
+                    break
         except (ValueError, FloatingPointError):
             # non-finite intermediates mean the iterates blew up
             raise NumericalError(f"objective diverged in descent stage {stage}") from None
@@ -204,8 +231,6 @@ def fit(
             new_obj = new_loss + lam * penalty_l1(new_theta)
             if not np.isfinite(new_obj):
                 raise NumericalError("objective diverged in the proximal stage")
-            if _guard_rows(new_theta, rng):
-                new_pass = None  # the trial's forward pass saw the old rows
             done = abs(obj - new_obj) <= config.prox_tol * max(1.0, abs(obj))
             theta, obj = new_theta, new_obj
             if done:
@@ -233,6 +258,7 @@ def _prox_step(shape, theta, dataset, loss_kind, loss, grad, lam, step):
     """
     while True:
         cand = prox_l1(Theta.from_flat(shape, theta.flat - step * grad.flat), step, lam)
+        _flush_deep(cand)
         try:
             trial = forward(shape, cand, dataset.X, return_cache=True)
             new_loss = loss_value(loss_kind, dataset.Y, trial[0])

@@ -137,6 +137,23 @@ def test_gradient_matches_finite_differences(n_layers, link, loss_kind, m):
     assert max_rel_grad_error(shape, theta, dataset, loss_kind) <= 1e-5
 
 
+@pytest.mark.parametrize("n_layers,link,loss_kind,m", FD_CASES)
+def test_deep_row_gradient_is_orthogonal_to_its_row(n_layers, link, loss_kind, m):
+    # so a gradient step never shrinks a deep row, and the solver needs no row guard
+    for r in range(5):
+        rng = np.random.default_rng([6100, FD_CASES.index((n_layers, link, loss_kind, m)), r])
+        shape, theta, dataset = random_instance(
+            rng, n_layers=n_layers, link=link, loss_kind=loss_kind, m=m, n=20
+        )
+        for W in theta.deep:
+            W *= rng.uniform(0.5, 3.0, size=(W.shape[0], 1))
+        _, grad = loss_and_grad(shape, theta, dataset, loss_kind)
+        for W, G in zip(theta.deep, grad.deep):
+            for w_row, g_row in zip(W, G):
+                bound = 1e-12 * np.linalg.norm(g_row) * np.linalg.norm(w_row)
+                assert abs(g_row @ w_row) <= bound
+
+
 def test_bias_gradients_vanish_at_regression_null():
     rng = np.random.default_rng(6)
     shape, theta, dataset = random_instance(rng, n_layers=3)

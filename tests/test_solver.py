@@ -7,14 +7,19 @@ import pytest
 from fd_utils import random_instance
 
 from sparseann import (
+    ActivationSpec,
     Dataset,
     FitResult,
     NetworkShape,
     NumericalError,
+    QutConfig,
+    SimConfig,
     SolverConfig,
+    compute_qut,
     estimated_support,
     fit,
     forward,
+    gen_linear,
     init_theta,
     lambda0,
     lambda_schedule,
@@ -224,3 +229,42 @@ def test_reusing_the_accepted_trial_forward_pass_changes_no_bit(monkeypatch):
     assert any(handed)
     assert np.array_equal(again.theta.flat, reused.theta.flat)
     assert again.objective_trace == reused.objective_trace
+
+
+def _linear_sweep_instance(s, rep, p1=50, seed=500):
+    """Data, lambda_qut and solver config of one linear ``run_sweep`` repetition
+    (seed 500 and s=0 are acceptance criterion 5's sweep)."""
+    sim = SimConfig.linear(n=100, p1=p1, s_values=(s,), repetitions=rep + 1, seed=seed)
+    shape = NetworkShape.make((p1, 20, 1), "identity", ActivationSpec(20.0, 1.0, 1.0))
+    rng = np.random.default_rng([seed, s, rep])
+    sub_seed = int(rng.integers(2**63))
+    dataset, _, _ = gen_linear(sim, s, rng)
+    lam = compute_qut(dataset, shape, QutConfig(alpha=0.05, seed=sub_seed)).lambda_qut
+    return shape, dataset, lam, SolverConfig(seed=sub_seed)
+
+
+def test_near_threshold_support_does_not_hang_on_the_last_bit_of_lambda():
+    shape, dataset, lam, cfg = _linear_sweep_instance(0, 55)
+    supports = [fit(shape, dataset, lam * f, cfg).support
+                for f in (1 - 1e-15, 1.0, 1 + 1e-15)]
+    assert supports[0] == supports[1] == supports[2]
+
+
+def test_null_fit_descent_stages_stop_early():
+    shape, dataset, lam, cfg = _linear_sweep_instance(0, 55)
+    result = fit(shape, dataset, lam, cfg)
+    descent = result.objective_trace[:-1]
+    assert len(descent) == 7
+    assert sum(map(len, descent)) < 0.5 * 7 * cfg.descent_epochs
+
+
+@pytest.mark.parametrize("s", [0, 4])
+def test_fitted_theta_holds_no_subnormal(s):
+    # with s=4 one hidden unit stays alive, and without the flush the outgoing
+    # weights of the 19 dead units decay to ~1e-323
+    shape, dataset, lam, cfg = _linear_sweep_instance(s, 0)
+    result = fit(shape, dataset, lam, cfg)
+    dead_rows = int(np.sum(~np.any(result.theta.W1 != 0.0, axis=1)))
+    assert dead_rows == (20 if s == 0 else 19)
+    flat = result.theta.flat
+    assert np.all((flat == 0.0) | (np.abs(flat) >= np.finfo(float).tiny))
