@@ -1,12 +1,6 @@
 """Sparse-input neural networks with quantile-threshold penalty selection."""
 
-from .activations import (
-    RELU,
-    ActivationSpec,
-    act_deriv,
-    act_second_deriv,
-    act_value,
-)
+from .activations import ActivationSpec, act_deriv, act_value
 from .errors import (
     ConfigError,
     DataError,

@@ -49,7 +49,7 @@ class ActivationSpec:
     @cached_property
     def offset(self) -> float:
         """f(0)^k, subtracted so that sigma(0) = 0."""
-        return _softplus_shifted(self, np.zeros(1))[0] ** self.k
+        return _softplus_shifted(self, *_shift(self, np.zeros(1)))[0] ** self.k
 
     def to_dict(self) -> dict:
         return {"M": "inf" if self.is_relu_limit else self.M, "u0": self.u0, "k": self.k}
@@ -61,11 +61,8 @@ class ActivationSpec:
         return ActivationSpec(M=m, u0=float(d.get("u0", 1.0)), k=float(d.get("k", 1.0)))
 
 
-RELU = ActivationSpec(M=math.inf, u0=0.0, k=1.0)
-
-
 def _check_finite(u):
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise ValueError("activation input must be finite")
 
 
@@ -80,18 +77,22 @@ def _unwrap(out, scalar):
     return float(out[0]) if scalar else out
 
 
-def _softplus_shifted(spec: ActivationSpec, u):
-    """f(u) = (1/M) log(1 + exp(M (u + u0))), overflow-safe.
+def _shift(spec: ActivationSpec, u):
+    """v = u + u0 and the softplus argument arg = M v (None in the ReLU limit)."""
+    v = u + spec.u0
+    return v, (None if spec.is_relu_limit else v * spec.M)
 
-    With v = u + u0, f is v where M v > _LINEAR_CUTOFF and exp(M v) / M where
-    M v < -_LINEAR_CUTOFF.  The whole-array steps below do the same
+
+def _softplus_shifted(spec: ActivationSpec, v, arg):
+    """f(u) = (1/M) log(1 + exp(M (u + u0))), overflow-safe, from ``_shift``.
+
+    f is v where arg > _LINEAR_CUTOFF and exp(arg) / M where
+    arg < -_LINEAR_CUTOFF.  The whole-array steps below do the same
     per-element operations as computing the three ranges apart, so each
     value matches that bit for bit.
     """
-    v = u + spec.u0
-    if spec.is_relu_limit:
-        return np.maximum(v, 0.0, out=v)
-    arg = v * spec.M
+    if arg is None:
+        return np.maximum(v, 0.0)
     out = np.minimum(arg, _LINEAR_CUTOFF)
     np.exp(out, out=out)
     np.log1p(out, out=out, where=arg >= -_LINEAR_CUTOFF)
@@ -100,15 +101,13 @@ def _softplus_shifted(spec: ActivationSpec, u):
     return out
 
 
-def _logistic_shifted(spec: ActivationSpec, u):
-    """f'(u) = logistic(M (u + u0)), stable for large |arg|.
+def _logistic_shifted(v, arg):
+    """f'(u) = logistic(arg) from ``_shift``, stable for large |arg|; overwrites arg.
 
     With e = exp(-|arg|) it is 1 / (1 + e) for arg >= 0 and e / (1 + e) below.
     """
-    v = u + spec.u0
-    if spec.is_relu_limit:
+    if arg is None:
         return np.where(v > 0, 1.0, np.where(v < 0, 0.0, 0.5))
-    arg = np.multiply(v, spec.M, out=v)
     nonneg = arg >= 0
     e = np.negative(np.abs(arg, out=arg), out=arg)
     np.exp(e, out=e)
@@ -131,41 +130,36 @@ def _pow(f, exponent):
     return np.power(f, exponent)
 
 
-def act_value(spec: ActivationSpec, u):
-    """sigma(u) = (f(u)^k - f(0)^k) / k.  Vectorized; sigma(0) = 0 exactly."""
-    u, scalar = _as_array(u)
+def activate(spec: ActivationSpec, u, value: bool = True, deriv: bool = True):
+    """(sigma(u), sigma'(u)) of a float array u, each None unless asked for.
+
+    Checks u and computes ``_shift`` once for both.  sigma'(u) = f(u)^(k-1) f'(u);
+    at k = 1 that is the logistic f'(u) alone, and f is only computed for the value.
+    """
     _check_finite(u)
-    f = _softplus_shifted(spec, u)
+    v, arg = _shift(spec, u)
+    f = _softplus_shifted(spec, v, arg) if value or (deriv and spec.k != 1.0) else None
+    fp = _logistic_shifted(v, arg) if deriv else None
+    if deriv and spec.k != 1.0:
+        fp *= _pow(f, spec.k - 1.0)
+    if not value:
+        return None, fp
     if spec.k == 1.0:
         f -= spec.offset
     else:
         np.power(f, spec.k, out=f)
         f -= spec.offset
         f /= spec.k
-    return _unwrap(f, scalar)
+    return f, fp
+
+
+def act_value(spec: ActivationSpec, u):
+    """sigma(u) = (f(u)^k - f(0)^k) / k.  Vectorized; sigma(0) = 0 exactly."""
+    u, scalar = _as_array(u)
+    return _unwrap(activate(spec, u, deriv=False)[0], scalar)
 
 
 def act_deriv(spec: ActivationSpec, u):
     """sigma'(u) = f(u)^(k-1) f'(u); at k = 1 that is the logistic f'(u) alone."""
     u, scalar = _as_array(u)
-    _check_finite(u)
-    fp = _logistic_shifted(spec, u)
-    if spec.k != 1.0:
-        fp *= _pow(_softplus_shifted(spec, u), spec.k - 1.0)
-    return _unwrap(fp, scalar)
-
-
-def act_second_deriv(spec: ActivationSpec, u):
-    """sigma''(u) = (k-1) f^(k-2) f'^2 + f^(k-1) f''.
-
-    Undefined in the ReLU limit (the limit is not C^2).
-    """
-    if spec.is_relu_limit:
-        raise ValueError("second derivative undefined for the ReLU limit")
-    u, scalar = _as_array(u)
-    _check_finite(u)
-    f = _softplus_shifted(spec, u)
-    fp = _logistic_shifted(spec, u)
-    fpp = spec.M * fp * (1.0 - fp)
-    out = (spec.k - 1.0) * _pow(f, spec.k - 2.0) * fp**2 + _pow(f, spec.k - 1.0) * fpp
-    return _unwrap(out, scalar)
+    return _unwrap(activate(spec, u, value=False)[1], scalar)

@@ -2,7 +2,8 @@
 
 The first layer is a plain affine map; every deeper layer divides each
 weight row by its l2 norm before use, so rescaling a deep row leaves the
-output unchanged.  The output layer applies a link function (identity,
+output unchanged.  A first-layer unit whose weight row is zero outputs a
+constant, so its activation is evaluated once rather than on every row.  The output layer applies a link function (identity,
 softmax, or multiclass logit).  Gradients are hand-derived and
 differentiate through the row normalization.
 """
@@ -15,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .activations import ActivationSpec, act_deriv, act_value
+from .activations import ActivationSpec, _check_finite, activate
 from .errors import DataError, DegenerateParameterError, NumericalError, check_int
 
 LINKS = ("identity", "softmax", "logit")
@@ -253,15 +254,54 @@ def forward(shape: NetworkShape, theta: Theta, X: np.ndarray, return_cache: bool
     """Network output for each row of X, an n x m matrix.
 
     With ``return_cache`` it returns ``(mu, cache)``; ``loss_and_grad`` takes
-    that pair to skip its own forward pass at the same theta and X.
+    that pair to skip its own forward pass at the same theta and X.  Without
+    it no activation derivative is computed.
     """
-    mu, cache = _forward_cached(shape, theta, np.asarray(X, dtype=float))
+    mu, cache = _forward_cached(shape, theta, np.asarray(X, dtype=float), return_cache)
     return (mu, cache) if return_cache else mu
 
 
-def _forward_cached(shape: NetworkShape, theta: Theta, X: np.ndarray):
-    """Output and what the backward pass reuses: pre-activations, activations
-    (X first) and the (W_hat, norms) of each deep matrix."""
+def _first_layer(spec: ActivationSpec, pre: np.ndarray, W1: np.ndarray, b: np.ndarray,
+                 deriv: bool):
+    """Activation and derivative (None without ``deriv``) of the first hidden
+    layer, given ``pre`` = X @ W1.T, evaluated only on the live units.
+
+    A unit whose W1 row is zero is dead: its column of ``pre`` is +0 on every
+    row of a finite X, and +0 + b is b (+0 for b = -0), so it is evaluated
+    once, at ``b + 0.0``, and broadcast down its column.  The live columns are
+    gathered into one block, and one ``activate`` call evaluates the block and
+    the row together.  Every entry equals that of ``activate`` on ``pre + b``.
+    """
+    live = W1.any(axis=1)
+    n_live = np.count_nonzero(live)
+    if n_live == live.size or spec.k != 1.0 or spec.is_relu_limit:
+        pre += b
+        return activate(spec, pre, deriv=deriv)
+    if n_live == 0:
+        _check_finite(pre[:, 0])  # no X reaches activate; a dead column is finite iff X is
+    n = pre.shape[0]
+    u = np.empty(n_live * n + live.size)
+    np.add(pre.T[live], b[live, None], out=u[:n_live * n].reshape(n_live, n))  # unit by unit
+    np.add(b, 0.0, out=u[n_live * n:])
+    act, fp = activate(spec, u, deriv=deriv)
+    return (_fill_columns(act, live, pre.shape),
+            None if fp is None else _fill_columns(fp, live, pre.shape))
+
+
+def _fill_columns(r, live, shape):
+    """The n x width array of a first-layer kernel result ``r``: the live
+    columns one after another, then a row of width values for the dead ones."""
+    n, width = shape
+    full = np.empty(shape)
+    full[...] = r[-width:]
+    full[:, live] = r[:-width].reshape(-1, n).T
+    return full
+
+
+def _forward_cached(shape: NetworkShape, theta: Theta, X: np.ndarray, deriv: bool = True):
+    """Output and what the backward pass reuses: the activation derivatives
+    (with ``deriv``), the activations (X first) and the (W_hat, norms) of each
+    deep matrix."""
     theta.check_shapes(shape)
     if X.ndim != 2 or X.shape[1] != shape.n_inputs:
         raise ValueError(
@@ -270,19 +310,23 @@ def _forward_cached(shape: NetworkShape, theta: Theta, X: np.ndarray):
     deep_hat = [normalize_rows(W) for W in theta.deep]
     weights = [theta.W1, *(W_hat for W_hat, _ in deep_hat)]
     offsets = [*theta.biases, theta.c]
-    pre_acts = []
+    derivs = []
     acts = [X]
     for k, spec in enumerate(shape.activations):
         pre = acts[k] @ weights[k].T
-        pre += offsets[k]
-        pre_acts.append(pre)
-        acts.append(act_value(spec, pre))
+        if k == 0:
+            act, d = _first_layer(spec, pre, theta.W1, offsets[0], deriv)
+        else:
+            pre += offsets[k]
+            act, d = activate(spec, pre, deriv=deriv)
+        derivs.append(d)
+        acts.append(act)
     Z = acts[-1] @ weights[-1].T + offsets[-1]
     if shape.link == "logit":
         mu = link_apply("logit", Z[:, :-1])
     else:
         mu = link_apply(shape.link, Z)
-    return mu, (pre_acts, acts, deep_hat)
+    return mu, (derivs, acts, deep_hat)
 
 
 def loss_value(loss_kind: str, Y: np.ndarray, mu: np.ndarray) -> float:
@@ -326,20 +370,21 @@ def _normalized_row_backprop(W_hat: np.ndarray, norms: np.ndarray,
 
 
 def loss_and_grad(shape: NetworkShape, theta: Theta, dataset: Dataset, loss_kind: str,
-                  forward_pass=None):
+                  forward_pass=None, out: Theta = None):
     """Loss value and its exact gradient, a Theta-shaped structure.
 
     Differentiates through the row normalization of the deep layers.
     ``forward_pass`` is the ``(mu, cache)`` that ``forward(..., return_cache=True)``
     returned for this theta and ``dataset.X``; without it the forward pass runs here.
+    The gradient is written into ``out`` when given, and returned.
     """
     if forward_pass is None:
         forward_pass = _forward_cached(shape, theta, dataset.X)
-    mu, (pre_acts, acts, deep_hat) = forward_pass
+    mu, (derivs, acts, deep_hat) = forward_pass
     loss, dmu = _dloss_dmu(loss_kind, dataset.Y, mu)
     dZ = _dZ_from_dmu(shape.link, mu, dmu)
 
-    grad = Theta.zeros(shape)
+    grad = Theta.zeros(shape) if out is None else out
     d_weights = [grad.W1, *grad.deep]
     d_offsets = [*grad.biases, grad.c]
     # dZ is the gradient w.r.t. acts[k] @ weights[k].T + offsets[k]
@@ -348,7 +393,7 @@ def loss_and_grad(shape: NetworkShape, theta: Theta, dataset: Dataset, loss_kind
         np.sum(dZ, axis=0, out=d_offsets[k])
         _normalized_row_backprop(W_hat, norms, dZ.T @ acts[k], d_weights[k])
         dZ = dZ @ W_hat
-        dZ *= act_deriv(shape.activations[k - 1], pre_acts[k - 1])
+        dZ *= derivs[k - 1]
     np.sum(dZ, axis=0, out=d_offsets[0])
     np.matmul(dZ.T, acts[0], out=d_weights[0])
     return loss, grad

@@ -193,13 +193,14 @@ def fit(
     loss_kind = _loss_kind(dataset)
     lambdas = lambda_schedule(lambda_qut) if anneal else [float(lambda_qut)]
     traces = []
+    grad = Theta.zeros(shape)  # every gradient evaluation of the fit writes here
 
     lr = config.lr_descent
     for stage, lam in enumerate(lambdas):
         trace = []
         try:
             for _ in range(config.descent_epochs):
-                loss, grad = loss_and_grad(shape, theta, dataset, loss_kind)
+                loss, grad = loss_and_grad(shape, theta, dataset, loss_kind, out=grad)
                 obj = loss + lam * penalty_l1(theta)
                 if not np.isfinite(obj):
                     raise NumericalError(f"objective diverged in descent stage {stage}")
@@ -221,7 +222,7 @@ def fit(
     trace = []
     step = 1.0
     try:
-        loss, grad = loss_and_grad(shape, theta, dataset, loss_kind)
+        loss, grad = loss_and_grad(shape, theta, dataset, loss_kind, out=grad)
         obj = loss + lam * penalty_l1(theta)
         for it in range(config.prox_max_iter):
             trace.append(obj)
@@ -235,7 +236,7 @@ def fit(
             theta, obj = new_theta, new_obj
             if done:
                 break
-            loss, grad = loss_and_grad(shape, theta, dataset, loss_kind, new_pass)
+            loss, grad = loss_and_grad(shape, theta, dataset, loss_kind, new_pass, out=grad)
     except FloatingPointError:
         raise NumericalError("objective diverged in the proximal stage") from None
     trace.append(obj)

@@ -7,7 +7,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparseann import RELU, ActivationSpec, act_deriv, act_second_deriv, act_value
+from sparseann import ActivationSpec, act_deriv, act_value
+from sparseann.activations import (
+    _as_array,
+    _check_finite,
+    _logistic_shifted,
+    _pow,
+    _shift,
+    _softplus_shifted,
+    _unwrap,
+    activate,
+)
+
+RELU = ActivationSpec(M=math.inf, u0=0.0, k=1.0)
+
+
+def act_second_deriv(spec, u):
+    """sigma''(u) = (k-1) f^(k-2) f'^2 + f^(k-1) f'', from the package's kernels.
+
+    Undefined in the ReLU limit (the limit is not C^2).  Only the tests use it:
+    they check the derivative chain sigma, sigma', sigma'' against itself.
+    """
+    if spec.is_relu_limit:
+        raise ValueError("second derivative undefined for the ReLU limit")
+    u, scalar = _as_array(u)
+    _check_finite(u)
+    f = _softplus_shifted(spec, *_shift(spec, u))
+    fp = _logistic_shifted(*_shift(spec, u))
+    fpp = spec.M * fp * (1.0 - fp)
+    out = (spec.k - 1.0) * _pow(f, spec.k - 2.0) * fp**2 + _pow(f, spec.k - 1.0) * fpp
+    return _unwrap(out, scalar)
 
 # Reference: the activation formulas computed range by range through boolean
 # masks, as the package first did.  The package must match them bit for bit.
@@ -87,6 +116,15 @@ def test_value_and_deriv_match_masked_reference_bitwise(spec):
     us = np.concatenate([np.linspace(-5.0, 5.0, 2001), _edge_inputs(spec)])
     assert _bits(act_value(spec, us)) == _bits(_value_reference(spec, us))
     assert _bits(act_deriv(spec, us)) == _bits(_deriv_reference(spec, us))
+    # the fused kernel, on the whole input, on the edge inputs alone and on a
+    # gathered block, gives what act_value and act_deriv give apart
+    rng = np.random.default_rng(0)
+    for block in (us, _edge_inputs(spec), us[rng.permutation(us.size)[:257]]):
+        value, deriv = activate(spec, block.copy())
+        assert _bits(value) == _bits(act_value(spec, block))
+        assert _bits(deriv) == _bits(act_deriv(spec, block))
+        assert activate(spec, block.copy(), deriv=False)[1] is None
+        assert activate(spec, block.copy(), value=False)[0] is None
     grid = us[: us.size // 2 * 2].reshape(-1, 2)
     assert _bits(act_value(spec, grid)) == _bits(_value_reference(spec, grid))
     assert _bits(act_deriv(spec, grid)) == _bits(_deriv_reference(spec, grid))

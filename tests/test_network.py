@@ -18,7 +18,14 @@ from sparseann import (
     link_apply,
     predict_class,
 )
-from sparseann.network import loss_and_grad
+from sparseann.activations import act_deriv, act_value
+from sparseann.network import (
+    _dloss_dmu,
+    _dZ_from_dmu,
+    _normalized_row_backprop,
+    loss_and_grad,
+    normalize_rows,
+)
 
 
 def _relu_spec():
@@ -152,6 +159,86 @@ def test_deep_row_gradient_is_orthogonal_to_its_row(n_layers, link, loss_kind, m
             for w_row, g_row in zip(W, G):
                 bound = 1e-12 * np.linalg.norm(g_row) * np.linalg.norm(w_row)
                 assert abs(g_row @ w_row) <= bound
+
+
+def _reference_pass(shape, theta, dataset, loss_kind):
+    """Output, loss and gradient with act_value and act_deriv applied to each
+    whole pre-activation matrix, in the network's order of operations."""
+    deep_hat = [normalize_rows(W) for W in theta.deep]
+    weights = [theta.W1, *(W_hat for W_hat, _ in deep_hat)]
+    offsets = [*theta.biases, theta.c]
+    pres, acts = [], [dataset.X]
+    for k, spec in enumerate(shape.activations):
+        pres.append(acts[k] @ weights[k].T + offsets[k])
+        acts.append(act_value(spec, pres[k]))
+    Z = acts[-1] @ weights[-1].T + offsets[-1]
+    mu = link_apply(shape.link, Z[:, :-1] if shape.link == "logit" else Z)
+    loss, dmu = _dloss_dmu(loss_kind, dataset.Y, mu)
+    dZ = _dZ_from_dmu(shape.link, mu, dmu)
+    grad = Theta.zeros(shape)
+    d_offsets = [*grad.biases, grad.c]
+    for k in range(shape.n_layers - 1, 0, -1):
+        W_hat, norms = deep_hat[k - 1]
+        d_offsets[k][...] = dZ.sum(axis=0)
+        _normalized_row_backprop(W_hat, norms, dZ.T @ acts[k], grad.deep[k - 1])
+        dZ = dZ @ W_hat
+        dZ *= act_deriv(shape.activations[k - 1], pres[k - 1])
+    d_offsets[0][...] = dZ.sum(axis=0)
+    grad.W1[...] = dZ.T @ acts[0]
+    return mu, loss, grad
+
+
+DEAD_PATTERNS = ("none dead", "all dead", "one live")
+LINK_CASES = (("identity", "sqrt_l2", 1), ("softmax", "cross_entropy", 3),
+              ("logit", "cross_entropy", 3))
+
+
+@pytest.mark.parametrize("link,loss_kind,m", LINK_CASES, ids=[c[0] for c in LINK_CASES])
+@pytest.mark.parametrize("spec", [ActivationSpec(M, 1.0, k) for M in (20.0, 100.0, math.inf)
+                                  for k in (0.5, 1.0, 2.0)],
+                         ids=lambda s: f"M={s.M},k={s.k}")
+def test_live_unit_evaluation_matches_whole_matrix_reference_bitwise(spec, link, loss_kind, m):
+    # dead first-layer units are evaluated once and broadcast; nothing may change a bit
+    for n_layers in (3, 4):
+        for pattern in DEAD_PATTERNS:
+            rng = np.random.default_rng([6200, n_layers, DEAD_PATTERNS.index(pattern)])
+            widths = (5, 6, *[int(rng.integers(2, 5)) for _ in range(n_layers - 2)], m)
+            _, theta, dataset = random_instance(rng, n_layers, link, loss_kind, n=30,
+                                                widths=widths, m=m)
+            shape = NetworkShape.make(widths, link, spec)
+            dead = {"none dead": [], "all dead": list(range(6)),
+                    "one live": [0, 1, 3, 4, 5]}[pattern]
+            theta.W1[dead] = 0.0
+            if pattern == "one live":
+                theta.W1[2, 1:] = 0.0  # one nonzero entry keeps a unit live
+            if dead:
+                theta.W1[dead[0]] = -0.0  # a row of -0 is dead too
+                theta.biases[0][dead[:2]] = (0.0, -0.0)
+            mu, loss, grad = _reference_pass(shape, theta, dataset, loss_kind)
+            assert forward(shape, theta, dataset.X).tobytes() == mu.tobytes()
+            got_loss, got = loss_and_grad(shape, theta, dataset, loss_kind)
+            assert np.float64(got_loss).tobytes() == np.float64(loss).tobytes()
+            assert got.flat.tobytes() == grad.flat.tobytes()
+            # the same through a cached forward pass and a reused gradient buffer
+            buf = Theta.from_flat(shape, np.full(shape.param_count, np.nan))
+            fwd = forward(shape, theta, dataset.X, return_cache=True)
+            assert fwd[0].tobytes() == mu.tobytes()
+            got_loss, got = loss_and_grad(shape, theta, dataset, loss_kind, fwd, out=buf)
+            assert got is buf
+            assert np.float64(got_loss).tobytes() == np.float64(loss).tobytes()
+            assert buf.flat.tobytes() == grad.flat.tobytes()
+
+
+@pytest.mark.parametrize("pattern", DEAD_PATTERNS)
+def test_nonfinite_input_rejected_whichever_units_are_dead(pattern):
+    rng = np.random.default_rng(6300)
+    shape, theta, dataset = random_instance(rng, n_layers=2, widths=(3, 4, 1))
+    theta.W1[{"none dead": [], "all dead": [0, 1, 2, 3], "one live": [0, 2, 3]}[pattern]] = 0.0
+    for bad in (np.nan, np.inf):
+        X = dataset.X.copy()
+        X[2, 1] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):  # inf * 0 in X @ W1.T
+            forward(shape, theta, X)
 
 
 def test_bias_gradients_vanish_at_regression_null():

@@ -218,9 +218,9 @@ def test_reusing_the_accepted_trial_forward_pass_changes_no_bit(monkeypatch):
     reused = fit(shape, dataset, lam, FAST)
     handed = []
 
-    def recomputing(shape, theta, dataset, loss_kind, forward_pass=None):
+    def recomputing(shape, theta, dataset, loss_kind, forward_pass=None, out=None):
         handed.append(forward_pass is not None)
-        return loss_and_grad(shape, theta, dataset, loss_kind)
+        return loss_and_grad(shape, theta, dataset, loss_kind, out=out)
 
     monkeypatch.setattr(solver, "loss_and_grad", recomputing)
     again = fit(shape, dataset, lam, FAST)
