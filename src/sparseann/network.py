@@ -3,9 +3,10 @@
 The first layer is a plain affine map; every deeper layer divides each
 weight row by its l2 norm before use, so rescaling a deep row leaves the
 output unchanged.  A first-layer unit whose weight row is zero outputs a
-constant, so its activation is evaluated once rather than on every row.  The output layer applies a link function (identity,
-softmax, or multiclass logit).  Gradients are hand-derived and
-differentiate through the row normalization.
+constant, so its activation is evaluated once rather than on every row.
+The output layer applies a link function (identity, softmax, or
+multiclass logit).  Gradients are hand-derived and differentiate through
+the row normalization.
 """
 
 from __future__ import annotations
@@ -270,11 +271,12 @@ def _first_layer(spec: ActivationSpec, pre: np.ndarray, W1: np.ndarray, b: np.nd
     row of a finite X, and +0 + b is b (+0 for b = -0), so it is evaluated
     once, at ``b + 0.0``, and broadcast down its column.  The live columns are
     gathered into one block, and one ``activate`` call evaluates the block and
-    the row together.  Every entry equals that of ``activate`` on ``pre + b``.
+    the row together.  ``activate`` works element by element, so for every
+    spec each entry equals that of ``activate`` on ``pre + b``.
     """
     live = W1.any(axis=1)
     n_live = np.count_nonzero(live)
-    if n_live == live.size or spec.k != 1.0 or spec.is_relu_limit:
+    if n_live == live.size:
         pre += b
         return activate(spec, pre, deriv=deriv)
     if n_live == 0:
