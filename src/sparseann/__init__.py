@@ -19,11 +19,8 @@ from .network import (
 )
 from .objective import (
     hessian_at_null,
-    loss_cross_entropy,
-    loss_sqrt_l2,
     objective_value,
     penalty_l1,
-    prox_l1,
 )
 from .qut import (
     QutConfig,

@@ -147,11 +147,19 @@ def load_csv(path, response: str, task: str) -> Dataset:
                    feature_names=feature_names, class_labels=labels)
 
 
+# The links each task's loss is defined on, default first: the square-root
+# loss takes any real output, cross-entropy a probability row.
+_TASK_LINKS = {"regression": ("identity",), "classification": ("softmax", "logit")}
+
+
 def _shape_from_config(cfg: dict, p1: int, m: int, task: str) -> NetworkShape:
     shape_cfg = cfg.get("shape", {})
     link = shape_cfg.get("link")
     if link is None:
-        link = "identity" if task == "regression" else "softmax"
+        link = _TASK_LINKS[task][0]
+    if link not in _TASK_LINKS[task]:
+        raise ConfigError(f"shape.link for {task} must be one of "
+                          f"{list(_TASK_LINKS[task])}, got {link!r}")
     try:
         hidden = shape_cfg.get("hidden", [20])
         if not isinstance(hidden, list) or not hidden:

@@ -207,6 +207,11 @@ class Dataset:
                 raise ValueError("each classification response row must sum to 1")
 
     @property
+    def loss_kind(self) -> str:
+        """The loss of the task: square-root l2 for regression, else cross-entropy."""
+        return "sqrt_l2" if self.task == "regression" else "cross_entropy"
+
+    @property
     def n(self) -> int:
         return self.X.shape[0]
 

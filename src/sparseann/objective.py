@@ -1,4 +1,4 @@
-"""Losses, the l1 penalty on the first-layer parameters, and the prox map."""
+"""The first-layer l1 penalty, the penalized objective and the soft-threshold prox."""
 
 from __future__ import annotations
 
@@ -16,26 +16,6 @@ from .network import (
 )
 
 
-def loss_sqrt_l2(Y: np.ndarray, mu: np.ndarray) -> float:
-    """Euclidean (Frobenius) norm of the residual, not squared."""
-    Y = np.asarray(Y, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    if Y.shape != mu.shape:
-        raise ValueError("Y and mu must have matching shapes")
-    return loss_value("sqrt_l2", Y, mu)
-
-
-def loss_cross_entropy(Y: np.ndarray, P: np.ndarray) -> float:
-    """Negative sum of log-probabilities of the true classes."""
-    Y = np.asarray(Y, dtype=float)
-    P = np.asarray(P, dtype=float)
-    if Y.shape != P.shape:
-        raise ValueError("Y and P must have matching shapes")
-    if not np.allclose(P.sum(axis=1), 1.0, atol=1e-8):
-        raise DataError("probability rows must sum to 1")
-    return loss_value("cross_entropy", Y, P)
-
-
 def penalty_l1(theta: Theta) -> float:
     """Sum of absolute values of the first-layer weights and all hidden biases."""
     return float(np.abs(theta.theta1).sum())
@@ -47,26 +27,13 @@ def objective_value(
     """Loss plus lambda times the l1 penalty on the penalized parameters."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    mu = forward(shape, theta, dataset.X)
-    if dataset.task == "regression":
-        loss = loss_sqrt_l2(dataset.Y, mu)
-    else:
-        loss = loss_cross_entropy(dataset.Y, mu)
+    loss = loss_value(dataset.loss_kind, dataset.Y, forward(shape, theta, dataset.X))
     return loss + lam * penalty_l1(theta)
 
 
 def soft_threshold(w: np.ndarray, t: float) -> np.ndarray:
     """sign(w) * max(|w| - t, 0); produces exact zeros."""
     return np.sign(w) * np.maximum(np.abs(w) - t, 0.0)
-
-
-def prox_l1(theta: Theta, step: float, lam: float) -> Theta:
-    """Soft-threshold the penalized parameters; free parameters untouched."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    out = theta.copy()
-    out.theta1[...] = soft_threshold(theta.theta1, step * lam)
-    return out
 
 
 def hessian_at_null(shape: NetworkShape, theta: Theta, dataset: Dataset):

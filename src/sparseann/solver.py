@@ -1,17 +1,19 @@
-"""Annealed warm start in proximal-gradient stages, then a safeguarded proximal phase.
+"""Annealed warm start in proximal-gradient levels ending at the threshold.
 
 The penalty level is ramped up along a sigmoid schedule ending at the
-selected threshold.  Each stage, warm-started from the previous one, runs
-fixed-step proximal gradient steps (ISTA): the penalized part theta1 takes
-``soft_threshold(theta1 - lr * g1, lr * lambda)``, so small entries become
-exact zeros, and the free part theta2 takes a plain gradient step.  A stage
-ends once its prox-gradient mapping ``max(|delta theta1|_inf / lr, |g2|_inf)``
-is at most ``STAGE_TOL * lambda``, or after ``descent_epochs`` steps, so each
-stage's objective trace has a variable length.  Deep weights below
-``DEEP_FLUSH`` in magnitude are set to zero after every update, so the
-outgoing weights of dead hidden units never reach slow subnormal numbers.
-A final proximal phase at the threshold itself (ISTA with backtracking)
-guards against an objective that still rises.
+selected threshold.  Every level, warm-started from the previous one, runs
+proximal gradient steps (ISTA): the penalized part theta1 takes
+``soft_threshold(theta1 - t * g1, t * lambda)``, so small entries become
+exact zeros, and the free part theta2 takes a plain gradient step.  Deep
+weights below ``DEEP_FLUSH`` in magnitude are set to zero after every
+step, so the outgoing weights of dead hidden units never reach slow
+subnormal numbers.  The levels below the threshold take the fixed step
+``lr_descent`` for at most ``descent_epochs`` steps; the last level, at the
+threshold itself, halves its step until the smooth part's quadratic upper
+bound holds (backtracking) and takes at most ``prox_max_iter`` steps.
+Every level stops once the prox-gradient mapping of its step,
+``max(|delta theta1|_inf / t, |g2|_inf)``, is at most ``STAGE_TOL * lambda``,
+so each level's objective trace has a variable length.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from .network import (
     loss_value,
     normalize_rows,
 )
-from .objective import penalty_l1, prox_l1, soft_threshold
+from .objective import penalty_l1, soft_threshold
 
-# A descent stage ends once its prox-gradient mapping is at most STAGE_TOL * lambda.
+# A level ends once its prox-gradient mapping is at most STAGE_TOL * lambda.
 STAGE_TOL = 1e-3
 # Deep weights smaller than this are set to zero after every update.  The
 # outgoing weights of a hidden unit whose first-layer row is zero decay
@@ -48,8 +50,7 @@ DEEP_FLUSH = 1e-150
 class SolverConfig:
     lr_descent: float = 1e-2
     descent_epochs: int = 800  # most steps a warm-start stage takes
-    prox_max_iter: int = 2000
-    prox_tol: float = 1e-8
+    prox_max_iter: int = 2000  # most steps the last level, at the threshold, takes
     init_scale: float = 1.0
     seed: int = 0
 
@@ -57,8 +58,6 @@ class SolverConfig:
         if not 0 < self.lr_descent < math.inf:
             raise ValueError(f"lr_descent must be positive and finite, "
                              f"got {self.lr_descent!r}")
-        if not 0 < self.prox_tol < 1:
-            raise ValueError(f"prox_tol must be in (0, 1), got {self.prox_tol!r}")
         # rng.uniform(-s, s) needs the width 2 s to be finite
         if not 0 <= 2 * self.init_scale < math.inf:
             raise ValueError(f"init_scale must be nonnegative with 2 * init_scale finite, "
@@ -72,9 +71,10 @@ class SolverConfig:
 class FitResult:
     """Fitted parameters, estimated support and per-stage objective traces.
 
-    ``objective_trace`` holds one list per descent stage, with one objective
-    per gradient evaluation (so its length varies with how soon the stage
-    converged), and last the proximal phase's list.
+    ``objective_trace`` holds one list per level of ``stage_lambdas``, with
+    one objective per gradient evaluation, so its length varies with how
+    soon the level converged.  The last list, the backtracking level at the
+    threshold, ends with the objective at the returned point.
 
     ``support`` holds 0-based input-column indices whose first-layer weight
     column is not identically zero (the epsilon = 0 rule).
@@ -84,7 +84,7 @@ class FitResult:
     support: list
     lambda_used: float
     stage_lambdas: list
-    objective_trace: list = field(default_factory=list)  # one list per stage
+    objective_trace: list = field(default_factory=list)  # one list per level
 
     def to_dict(self, shape: NetworkShape) -> dict:
         return {
@@ -169,8 +169,17 @@ def _flush_deep(theta: Theta):
         W[np.abs(W) < DEEP_FLUSH] = 0.0
 
 
-def _loss_kind(dataset: Dataset) -> str:
-    return "sqrt_l2" if dataset.task == "regression" else "cross_entropy"
+def _ista_step(theta: Theta, grad: Theta, step: float, lam: float, out: Theta) -> float:
+    """Write the ISTA step ``prox(theta - step * grad)`` into ``out``, flush its
+    deep weights, and return the step's prox-gradient mapping
+    ``max(|delta theta1|_inf / step, |g2|_inf)``.  ``out`` may be ``theta``."""
+    theta1 = soft_threshold(theta.theta1 - step * grad.theta1, step * lam)
+    mapping = max(np.max(np.abs(theta1 - theta.theta1)) / step,
+                  np.max(np.abs(grad.theta2)))
+    out.theta1[...] = theta1
+    np.subtract(theta.theta2, step * grad.theta2, out=out.theta2)
+    _flush_deep(out)
+    return mapping
 
 
 # An overflow or an invalid operation means the iterates blew up: stop at the
@@ -183,20 +192,20 @@ def fit(
     config: SolverConfig,
     anneal: bool = True,
 ) -> FitResult:
-    """Run the warm-start schedule and the proximal refinement.
+    """Run the warm-start schedule; its last level is the backtracking one.
 
-    With ``anneal=False`` the schedule is skipped and descent runs directly
-    at the final penalty level (cold start); used for comparisons only.
+    With ``anneal=False`` the schedule is skipped and only the last level
+    runs, at the final penalty level (cold start); used for comparisons only.
     """
     rng = np.random.default_rng(config.seed)
     theta = init_theta(shape, config, rng, dataset)
-    loss_kind = _loss_kind(dataset)
+    loss_kind = dataset.loss_kind
     lambdas = lambda_schedule(lambda_qut) if anneal else [float(lambda_qut)]
     traces = []
     grad = Theta.zeros(shape)  # every gradient evaluation of the fit writes here
 
     lr = config.lr_descent
-    for stage, lam in enumerate(lambdas):
+    for stage, lam in enumerate(lambdas[:-1]):
         trace = []
         try:
             for _ in range(config.descent_epochs):
@@ -205,36 +214,28 @@ def fit(
                 if not np.isfinite(obj):
                     raise NumericalError(f"objective diverged in descent stage {stage}")
                 trace.append(obj)
-                theta1 = soft_threshold(theta.theta1 - lr * grad.theta1, lr * lam)
-                mapping = max(np.max(np.abs(theta1 - theta.theta1)) / lr,
-                              np.max(np.abs(grad.theta2)))
-                theta.theta1[...] = theta1
-                theta.theta2[...] -= lr * grad.theta2
-                _flush_deep(theta)
-                if mapping <= STAGE_TOL * lam:
+                if _ista_step(theta, grad, lr, lam, out=theta) <= STAGE_TOL * lam:
                     break
         except (ValueError, FloatingPointError):
             # non-finite intermediates mean the iterates blew up
             raise NumericalError(f"objective diverged in descent stage {stage}") from None
         traces.append(trace)
 
-    lam = float(lambda_qut)
+    lam = lambdas[-1]
     trace = []
     step = 1.0
     try:
         loss, grad = loss_and_grad(shape, theta, dataset, loss_kind, out=grad)
         obj = loss + lam * penalty_l1(theta)
-        for it in range(config.prox_max_iter):
+        for _ in range(config.prox_max_iter):
             trace.append(obj)
-            new_theta, new_loss, step, new_pass = _prox_step(
+            theta, loss, step, mapping, new_pass = _prox_step(
                 shape, theta, dataset, loss_kind, loss, grad, lam, step
             )
-            new_obj = new_loss + lam * penalty_l1(new_theta)
-            if not np.isfinite(new_obj):
+            obj = loss + lam * penalty_l1(theta)
+            if not np.isfinite(obj):
                 raise NumericalError("objective diverged in the proximal stage")
-            done = abs(obj - new_obj) <= config.prox_tol * max(1.0, abs(obj))
-            theta, obj = new_theta, new_obj
-            if done:
+            if mapping is None or mapping <= STAGE_TOL * lam:
                 break
             loss, grad = loss_and_grad(shape, theta, dataset, loss_kind, new_pass, out=grad)
     except FloatingPointError:
@@ -254,12 +255,14 @@ def fit(
 def _prox_step(shape, theta, dataset, loss_kind, loss, grad, lam, step):
     """One ISTA step with backtracking halving until sufficient decrease.
 
-    Returns the new point, its loss, the step and the forward pass
-    ``(mu, cache)`` at the new point (None when no trial was accepted).
+    Returns the new point, its loss, the step, the step's prox-gradient
+    mapping and the forward pass ``(mu, cache)`` at the new point.  When the
+    step falls below 1e-14 with no trial accepted, returns ``theta`` itself
+    with None for the last two.
     """
+    cand = theta.copy()
     while True:
-        cand = prox_l1(Theta.from_flat(shape, theta.flat - step * grad.flat), step, lam)
-        _flush_deep(cand)
+        mapping = _ista_step(theta, grad, step, lam, out=cand)
         try:
             trial = forward(shape, cand, dataset.X, return_cache=True)
             new_loss = loss_value(loss_kind, dataset.Y, trial[0])
@@ -270,7 +273,7 @@ def _prox_step(shape, theta, dataset, loss_kind, loss, grad, lam, step):
         inner = float(np.sum(grad.flat * delta))
         sq = float(np.sum(delta * delta))
         if new_loss <= loss + inner + sq / (2.0 * step) + 1e-12:
-            return cand, new_loss, step, trial
+            return cand, new_loss, step, mapping, trial
         step *= 0.5
         if step < 1e-14:
-            return theta.copy(), loss, step, None  # stuck; caller's tolerance will stop
+            return theta, loss, step, None, None  # stuck

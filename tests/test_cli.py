@@ -295,6 +295,13 @@ def _configured(section, key, value, command="fit"):
                          *extra, "--config", _config_file(t, {section: {key: value}})]
 
 
+def _linked(command, task, link):
+    """Builder of a ``command`` run that reads the CSV as ``task`` with ``shape.link`` = ``link``."""
+    return lambda t, d: [command, "--data", d, "--response", "y", "--task", task,
+                         "--mc-samples", "100",
+                         "--config", _config_file(t, {"shape": {"link": link}})]
+
+
 # name -> (exit code, builder(tmp_path, regression csv path) -> argv before --out)
 CLI_EXIT_CASES = {
     "qut_ok": (0, lambda t, d: ["qut", "--data", d, *_REG]),
@@ -351,6 +358,10 @@ CLI_EXIT_CASES = {
     "fit_infinite_init_scale": (2, _configured("solver", "init_scale", float("inf"))),
     "fit_init_scale_overflows_when_doubled": (2, _configured("solver", "init_scale", 1e308)),
     "fit_nan_lr_descent": (2, _configured("solver", "lr_descent", float("nan"))),
+    "fit_removed_prox_tol": (2, _configured("solver", "prox_tol", 1e-8)),
+    "fit_classification_identity_link": (2, _linked("fit", "classification", "identity")),
+    "qut_classification_identity_link": (2, _linked("qut", "classification", "identity")),
+    "fit_regression_softmax_link": (2, _linked("fit", "regression", "softmax")),
     "fit_diverging_descent": (4, _configured("solver", "lr_descent", 1e300)),
     "simulate_zero_reps": (2, lambda t, d: _simulate(t, "--reps", "0")),
     "simulate_negative_reps": (2, lambda t, d: _simulate(t, "--reps", "-3")),

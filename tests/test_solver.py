@@ -1,4 +1,4 @@
-"""Tests for the annealed warm-start schedule and the proximal refinement."""
+"""Tests for the annealed warm-start schedule and its backtracking last level."""
 
 import warnings
 
@@ -123,7 +123,8 @@ def test_stage_lambdas_recorded():
     result = fit(shape, dataset, 2.0, FAST)
     assert result.stage_lambdas == lambda_schedule(2.0)
     assert result.lambda_used == 2.0
-    assert len(result.objective_trace) == len(result.stage_lambdas) + 1
+    # six fixed-step levels, then the backtracking level at lambda itself
+    assert len(result.objective_trace) == len(result.stage_lambdas) == 7
 
 
 def test_fit_deterministic_given_seed():
@@ -139,7 +140,7 @@ def test_fit_deterministic_given_seed():
 def test_warm_start_usually_dominates_cold_start():
     wins = 0
     trials = 20
-    cfg = SolverConfig(descent_epochs=300, prox_max_iter=2000, prox_tol=1e-10, seed=0)
+    cfg = SolverConfig(descent_epochs=300, prox_max_iter=2000, seed=0)
     for t in range(trials):
         inst_rng = np.random.default_rng([100, t])
         shape, _, dataset = random_instance(inst_rng, n_layers=2, n=30)
@@ -151,6 +152,33 @@ def test_warm_start_usually_dominates_cold_start():
         ) + 1e-8:
             wins += 1
     assert wins >= 0.8 * trials
+
+
+def _kkt_residual(shape, dataset, theta, lam):
+    """Largest first-order optimality residual, computed apart from the solver:
+    |g + lam sign(w)| on nonzero penalized entries, max(|g| - lam, 0) on zero
+    ones, and |g| on the free ones."""
+    _, grad = loss_and_grad(shape, theta, dataset, dataset.loss_kind)
+    w, g = theta.theta1, grad.theta1
+    penalized = np.where(w != 0.0, np.abs(g + lam * np.sign(w)),
+                         np.maximum(np.abs(g) - lam, 0.0))
+    return max(penalized.max(initial=0.0), np.abs(grad.theta2).max(initial=0.0))
+
+
+def test_fits_stopped_by_the_rule_meet_the_kkt_certificate():
+    stopped = 0
+    for seed in range(3):
+        for n_layers, link, m in ((2, "identity", 1), (3, "identity", 1), (2, "softmax", 3)):
+            shape, _, dataset = random_instance(np.random.default_rng([20, seed]), n_layers,
+                                                link, m=m, n=30)
+            for frac in (0.3, 0.7):
+                lam = frac * lambda0(dataset, shape)
+                result = fit(shape, dataset, lam, FAST)
+                if len(result.objective_trace[-1]) - 1 < FAST.prox_max_iter:
+                    stopped += 1
+                    kkt = _kkt_residual(shape, dataset, result.theta, lam)
+                    assert kkt <= 2 * solver.STAGE_TOL * lam
+    assert stopped >= 9  # of 18
 
 
 def test_estimated_support_column_rule():
@@ -194,8 +222,8 @@ def test_classification_fit_runs():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(lr_descent=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(prox_tol=1.5)
+    with pytest.raises(TypeError):  # removed key: the last level stops by STAGE_TOL
+        SolverConfig(prox_tol=1e-8)
     with pytest.raises(ValueError):
         SolverConfig(init_scale=-1.0)
 
@@ -224,7 +252,7 @@ def test_reusing_the_accepted_trial_forward_pass_changes_no_bit(monkeypatch):
 
     monkeypatch.setattr(solver, "loss_and_grad", recomputing)
     again = fit(shape, dataset, lam, FAST)
-    # only the descent stages and the proximal stage's first gradient run their own forward pass
+    # only the descent stages and the last level's first gradient run their own forward pass
     assert handed.count(False) == sum(map(len, again.objective_trace[:-1])) + 1
     assert any(handed)
     assert np.array_equal(again.theta.flat, reused.theta.flat)
@@ -254,8 +282,8 @@ def test_null_fit_descent_stages_stop_early():
     shape, dataset, lam, cfg = _linear_sweep_instance(0, 55)
     result = fit(shape, dataset, lam, cfg)
     descent = result.objective_trace[:-1]
-    assert len(descent) == 7
-    assert sum(map(len, descent)) < 0.5 * 7 * cfg.descent_epochs
+    assert len(descent) == 6
+    assert sum(map(len, descent)) < 0.5 * 6 * cfg.descent_epochs
 
 
 @pytest.mark.parametrize("s", [0, 4])
