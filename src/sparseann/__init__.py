@@ -15,20 +15,13 @@ from .network import (
     forward,
     link_apply,
     loss_and_grad,
-    predict_class,
 )
-from .objective import (
-    hessian_at_null,
-    objective_value,
-    penalty_l1,
-)
+from .objective import penalty_l1
 from .qut import (
     QutConfig,
     QutResult,
     compute_qut,
-    lambda0,
     lambda0_classification,
-    lambda0_oracle,
     lambda0_regression,
     sample_null_classification,
     sample_null_regression,
@@ -36,8 +29,6 @@ from .qut import (
 from .simulate import (
     SimConfig,
     SimReport,
-    exact_absdiff_network,
-    exact_linear_network,
     gen_absdiff,
     gen_linear,
     metrics,

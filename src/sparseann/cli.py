@@ -20,7 +20,7 @@ import numpy as np
 
 from .activations import ActivationSpec
 from .errors import ConfigError, DataError, NumericalError, SparseAnnError, check_int
-from .network import Dataset, NetworkShape, Theta, forward, predict_class
+from .network import Dataset, NetworkShape, Theta, forward
 from .qut import QutConfig, _deriv0_product, compute_qut
 from .simulate import SimConfig, run_sweep
 from .solver import SolverConfig, fit
@@ -58,6 +58,9 @@ def load_run_config(path) -> dict:
             _reject_unknown(cfg[key], allowed, f"config.{key}")
     if "task" in cfg and cfg["task"] not in ("regression", "classification"):
         raise ConfigError(f"unknown task {cfg['task']!r}")
+    for key, value in cfg.get("io", {}).items():
+        if not isinstance(value, str) or not value:
+            raise ConfigError(f"config.io.{key} must be a non-empty string, got {value!r}")
     return cfg
 
 
@@ -300,6 +303,10 @@ def _load_model(path):
         labels = saved.get("class_labels")
         if labels and len(labels) != shape.n_outputs:
             raise ValueError(f"{len(labels)} class labels for {shape.n_outputs} outputs")
+        names = saved.get("feature_names")
+        if names is not None and not (isinstance(names, list)
+                                      and all(isinstance(f, str) for f in names)):
+            raise ValueError(f"feature_names must be a list of strings, got {names!r}")
     except KeyError as exc:
         raise ConfigError(f"model file has no {exc} entry")
     except (TypeError, ValueError) as exc:
@@ -317,7 +324,7 @@ def cmd_predict(args) -> int:
     mu = forward(shape, theta, X)
     payload = {"predictions": mu.tolist(), "feature_names": used_names}
     if saved.get("task", "regression") == "classification":
-        idx = predict_class(shape, theta, X)
+        idx = np.argmax(mu, axis=1)  # ties go to the smallest index
         labels = saved.get("class_labels")
         payload["class_index"] = [int(i) for i in idx]
         if labels:
@@ -362,7 +369,7 @@ def cmd_simulate(args) -> int:
 
     report = run_sweep(sim, shape, _qut_config(cfg, args),
                        _section_config(SolverConfig, "solver", cfg, args))
-    out = args.out or (cfg.get("io", {}) or {}).get("out")
+    out = args.out or cfg.get("io", {}).get("out")
     if out:
         base = Path(out)
         json_path = base if base.suffix == ".json" else base.with_suffix(".json")

@@ -404,8 +404,3 @@ def loss_and_grad(shape: NetworkShape, theta: Theta, dataset: Dataset, loss_kind
     np.sum(dZ, axis=0, out=d_offsets[0])
     np.matmul(dZ.T, acts[0], out=d_weights[0])
     return loss, grad
-
-
-def predict_class(shape: NetworkShape, theta: Theta, X_new: np.ndarray) -> np.ndarray:
-    """Class index per row (argmax of the output, ties to the smallest index)."""
-    return np.argmax(forward(shape, theta, X_new), axis=1)

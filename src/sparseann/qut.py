@@ -2,9 +2,8 @@
 
 The zero-thresholding value lambda0(Y, X) is the smallest penalty level
 guaranteeing a local minimum with all penalized parameters at zero.  It has
-a closed form for both tasks; an independent numeric supremum oracle
-(projected gradient ascent over the unit-row-norm deep weights on the
-null-point gradient) is provided for cross-validation of the closed forms.
+a closed form for both tasks; the tests check it against an independent
+numeric supremum (``tests/theory.py``).
 The selected penalty is the (1 - alpha) Monte-Carlo quantile of lambda0
 under the null model of a constant association.
 """
@@ -57,18 +56,6 @@ class QutResult:
             "link": self.link,
             "lambda_samples": np.asarray(self.lambda_samples).tolist(),
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "QutResult":
-        return QutResult(
-            lambda_qut=float(d["lambda_qut"]),
-            lambda_samples=np.asarray(d["lambda_samples"], dtype=float),
-            alpha=float(d["alpha"]),
-            mc_samples=int(d["mc_samples"]),
-            seed=int(d["seed"]),
-            task=d["task"],
-            link=d["link"],
-        )
 
 
 def _deriv0_product(shape: NetworkShape) -> float:
@@ -131,95 +118,6 @@ def lambda0_regression(Y: np.ndarray, X: np.ndarray, shape: NetworkShape) -> flo
 def lambda0_classification(Y: np.ndarray, X: np.ndarray, shape: NetworkShape) -> float:
     """Closed-form zero-thresholding value for cross-entropy with softmax."""
     return _lambda0_one(Y, X, shape, regression=False)
-
-
-def lambda0(dataset: Dataset, shape: NetworkShape) -> float:
-    if dataset.task == "regression":
-        return lambda0_regression(dataset.Y, dataset.X, shape)
-    return lambda0_classification(dataset.Y, dataset.X, shape)
-
-
-def _normalize_rows(W: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(W, axis=-1, keepdims=True)
-    return W / np.maximum(norms, 1e-300)
-
-
-def lambda0_oracle(
-    dataset: Dataset,
-    shape: NetworkShape,
-    restarts: int = 200,
-    seed: int = 0,
-    steps: int = 300,
-    step0: float = 0.5,
-    decay: float = 0.98,
-) -> float:
-    """Numeric lower bound on the supremum defining lambda0.
-
-    Multi-start projected gradient ascent over the unit-row-norm deep
-    weights, maximizing the sup-norm of the null-point gradient.  Kept
-    independent of the closed-form expressions.
-    """
-    X, Y = dataset.X, dataset.Y
-    Yc = Y - Y.mean(axis=0)
-    A = X.T @ Yc  # p1 x m
-    scale = _deriv0_product(shape)
-    if dataset.task == "regression":
-        nrm = float(np.linalg.norm(Yc))
-        if nrm < 1e-12:
-            raise DataError("constant response")
-        scale /= nrm
-
-    w = shape.widths
-    l = shape.n_layers
-    m, p2 = w[-1], w[1]
-    R = restarts
-    rng = np.random.default_rng(seed)
-    # mats[j] holds W_{j+2} for all restarts, rows kept on the unit sphere
-    mats = [
-        _normalize_rows(rng.standard_normal((R, w[j + 2], w[j + 1])))
-        for j in range(l - 1)
-    ]
-    best = 0.0
-    lr = step0
-    for _ in range(steps + 1):
-        # suffix products: suffix[j] = W_l ... W_{j+1} (batched, m x rows_of_j)
-        suffix = [None] * (l - 1)
-        acc = np.broadcast_to(np.eye(m), (R, m, m))
-        for j in range(l - 2, -1, -1):
-            suffix[j] = acc
-            acc = acc @ mats[j]
-        B = acc  # R x m x p2
-        # prefix products: prefix[j] = W_{j+1} ... W_2 (cols_of_j x p2)
-        prefix = [None] * (l - 1)
-        acc = np.broadcast_to(np.eye(p2), (R, p2, p2))
-        for j in range(l - 1):
-            prefix[j] = acc
-            acc = mats[j] @ acc
-
-        V = np.einsum("pm,rmq->rpq", A, B)  # R x p1 x p2
-        flat = np.abs(V).reshape(R, -1)
-        idx = flat.argmax(axis=1)
-        vals = flat[np.arange(R), idx]
-        best = max(best, float(vals.max()))
-        j_star, i_star = np.unravel_index(idx, (V.shape[1], V.shape[2]))
-        sgn = np.sign(V.reshape(R, -1)[np.arange(R), idx])
-        a = A[j_star, :] * sgn[:, None]  # R x m
-
-        new_mats = []
-        for j in range(l - 1):
-            left = suffix[j]  # R x m x rows_j
-            right = prefix[j]  # R x cols_j x p2
-            u = np.einsum("rmi,rm->ri", left, a)  # R x rows_j
-            v = right[np.arange(R), :, i_star]  # R x cols_j
-            g = u[:, :, None] * v[:, None, :]
-            W = mats[j]
-            # tangent projection: rows are unit norm already
-            dots = np.sum(g * W, axis=2, keepdims=True)
-            g_t = g - dots * W
-            new_mats.append(_normalize_rows(W + lr * g_t))
-        mats = new_mats
-        lr *= decay
-    return scale * best
 
 
 def sample_null_regression(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -3,15 +3,12 @@
 from __future__ import annotations
 
 import csv
-import json
-import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .activations import ActivationSpec
 from .errors import ConfigError, SparseAnnError, check_int
-from .network import Dataset, NetworkShape, Theta, forward
+from .network import Dataset, forward
 from .qut import QutConfig, compute_qut
 from .solver import SolverConfig, fit
 
@@ -98,67 +95,6 @@ def gen_absdiff(config: SimConfig, s: int, rng: np.random.Generator):
     return dataset, support, true_mu
 
 
-def exact_absdiff_network(h: int, p1: int, p2: int, amp: float = 10.0,
-                          activation: ActivationSpec = None):
-    """Explicit two-layer network reproducing the pair-difference signal.
-
-    Uses 2h neurons: paired +/- difference rows in the first layer, bias -1
-    per neuron.  The output row is normalized in the forward pass, so the
-    amplitude is carried by rescaling the (positively homogeneous) first
-    layer and the intercept offsets the per-neuron shift.  Exact in the
-    ReLU limit; with a finite sharpness the error is the softplus
-    smoothing error.
-    """
-    if p2 < 2 * h:
-        raise ConfigError(f"need p2 >= 2h neurons, got p2={p2}, h={h}")
-    if activation is None:
-        activation = ActivationSpec(M=math.inf, u0=1.0, k=1.0)
-    shape = NetworkShape.make((p1, p2, 1), link="identity", activation=activation)
-    theta = Theta.zeros(shape)
-    if h > 0:
-        w2 = np.zeros(p2)
-        half = p2 // 2
-        w2[:h] = amp
-        w2[half : half + h] = amp
-        nrm = np.linalg.norm(w2)
-        gain = nrm / 1.0  # first-layer rescale so each active neuron contributes amp
-        for i in range(h):
-            theta.W1[i, 2 * i] = -gain
-            theta.W1[i, 2 * i + 1] = gain
-            theta.W1[half + i, 2 * i] = gain
-            theta.W1[half + i, 2 * i + 1] = -gain
-        theta.biases[0][:] = -1.0
-        theta.deep[0][...] = w2
-        # each active neuron's normalized weight is amp/nrm; the -1 shift per
-        # neuron sums to 2h * amp / nrm, cancelled by the intercept
-        theta.c[...] = 2 * h * amp / nrm
-    else:
-        # no active neurons: zero biases keep every activation at zero
-        theta.deep[0][...] = 1.0
-    return shape, theta
-
-
-def exact_linear_network(X: np.ndarray, beta: np.ndarray, beta0: float = 0.0):
-    """Single-neuron ReLU network equal to beta0 + x' beta on the convex hull.
-
-    The neuron bias shifts the preactivation to be nonnegative at every
-    training point (hence on their convex hull), where the ReLU is linear.
-    """
-    X = np.asarray(X, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    u = X @ beta
-    b = -float(u.min())
-    relu = ActivationSpec(M=math.inf, u0=0.0, k=1.0)
-    shape = NetworkShape.make((X.shape[1], 1, 1), link="identity", activation=relu)
-    theta = Theta(
-        W1=beta[None, :].copy(),
-        biases=[np.array([b])],
-        deep=[np.array([[1.0]])],
-        c=np.array([beta0 - b]),
-    )
-    return shape, theta
-
-
 def metrics(support_true, support_est, mu_true=None, mu_hat=None, X_test=None):
     """(TPR, FDR, exact, PE) for one repetition.
 
@@ -206,10 +142,6 @@ class SimReport:
     def to_dict(self) -> dict:
         return {"config": asdict(self.config), "rows": self.rows,
                 "aggregates": self.aggregates()}
-
-    def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
 
     def write_csv(self, path):
         cols = ["s", "rep", "failed", "exact", "tpr", "fdr", "pe", "lambda_qut",

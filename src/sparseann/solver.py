@@ -26,7 +26,6 @@ import numpy as np
 from .errors import DegenerateParameterError, NumericalError, check_int
 from .network import (
     PROB_FLOOR,
-    ROW_NORM_FLOOR,
     Dataset,
     NetworkShape,
     Theta,
@@ -96,19 +95,6 @@ class FitResult:
             "objective_trace": [list(t) for t in self.objective_trace],
         }
 
-    @staticmethod
-    def from_dict(d: dict):
-        shape = NetworkShape.from_dict(d["shape"])
-        theta = Theta.from_dict(d["theta"])
-        result = FitResult(
-            theta=theta,
-            support=estimated_support(theta),
-            lambda_used=float(d["lambda_used"]),
-            stage_lambdas=[float(x) for x in d["stage_lambdas"]],
-            objective_trace=[list(map(float, t)) for t in d["objective_trace"]],
-        )
-        return shape, result
-
 
 def lambda_schedule(lambda_qut: float) -> list:
     """Sigmoid ramp exp(k)/(1+exp(k)) * lambda for k = -1..4, then lambda itself."""
@@ -148,19 +134,11 @@ def init_theta(shape: NetworkShape, config: SolverConfig, rng: np.random.Generat
     s = config.init_scale
     theta = Theta.zeros(shape)
     theta.theta1[...] = rng.uniform(-s, s, size=theta.theta1.size)
-    _guard_rows(theta, rng)  # every deep row is zero, so each is drawn
+    for W in theta.deep:
+        W[...] = normalize_rows(rng.standard_normal(W.shape))[0]
     if dataset is not None:
         theta.c[...] = _null_intercept(dataset, shape.link)
     return theta
-
-
-def _guard_rows(theta: Theta, rng: np.random.Generator):
-    """Re-draw any deep weight row whose norm is below the floor."""
-    for W in theta.deep:
-        norms = np.linalg.norm(W, axis=1)
-        bad = norms < ROW_NORM_FLOOR
-        if np.any(bad):
-            W[bad] = normalize_rows(rng.standard_normal((int(bad.sum()), W.shape[1])))[0]
 
 
 def _flush_deep(theta: Theta):

@@ -6,7 +6,15 @@ is slower than the unit tests (several minutes total).
 
 import numpy as np
 import pytest
-from fd_utils import max_rel_grad_error, random_instance, random_theta
+from fd_utils import max_rel_grad_error, random_instance
+from theory import (
+    descent_direction_certificate,
+    exact_absdiff_network,
+    exact_linear_network,
+    hessian_at_null,
+    lambda0,
+    lambda0_oracle,
+)
 
 from sparseann import (
     ActivationSpec,
@@ -14,16 +22,11 @@ from sparseann import (
     QutConfig,
     SimConfig,
     SolverConfig,
-    exact_absdiff_network,
-    exact_linear_network,
     forward,
-    hessian_at_null,
-    lambda0,
-    lambda0_oracle,
     lambda0_regression,
     run_sweep,
 )
-from sparseann.objective import descent_direction_certificate, soft_threshold
+from sparseann.objective import soft_threshold
 
 
 def _report(num, desc, ok, detail):

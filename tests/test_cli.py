@@ -165,9 +165,10 @@ def test_model_file_support_is_read_from_its_theta(regression_csv, tmp_path):
         "fit", "--config", str(_fast_config(tmp_path)), "--data", str(regression_csv),
         "--response", "y", "--task", "regression", "--seed", "1", "--out", str(model),
     ]) == 0
-    _, result = FitResult.from_dict(json.loads(model.read_text()))
-    assert result.support  # the response depends on x1
-    assert result.support == estimated_support(result.theta)
+    saved = json.loads(model.read_text())
+    support = estimated_support(Theta.from_dict(saved["theta"]))
+    assert support  # the response depends on x1
+    assert saved["support"] == [j + 1 for j in support]
 
 
 def test_classification_fit_predict_labels(classification_csv, tmp_path):
@@ -186,6 +187,27 @@ def test_classification_fit_predict_labels(classification_csv, tmp_path):
     payload = json.loads(pred.read_text())
     assert set(payload["class_label"]) <= {"pos", "neg"}
     assert len(payload["class_index"]) == 30
+    mu = np.asarray(payload["predictions"])
+    assert payload["class_index"] == np.argmax(mu, axis=1).tolist()
+
+
+def test_predict_class_ties_take_smallest_index(classification_csv, tmp_path):
+    shape = NetworkShape.make((3, 2, 2), "softmax")
+    theta = init_theta(shape, SolverConfig(), np.random.default_rng(8))
+    theta.theta1[...] = 0.0
+    theta.c[...] = 0.0  # both classes at probability 1/2 on every row
+    saved = FitResult(theta, [], 1.0, [1.0]).to_dict(shape)
+    saved.update(task="classification", feature_names=["x0", "x1", "x2"],
+                 class_labels=["neg", "pos"])
+    model, pred = tmp_path / "model.json", tmp_path / "pred.json"
+    model.write_text(json.dumps(saved))
+    assert main(["predict", "--model", str(model), "--data", str(classification_csv),
+                 "--response", "label", "--out", str(pred)]) == 0
+    payload = json.loads(pred.read_text())
+    assert payload["class_index"] == [0] * 30
+    assert payload["class_label"] == ["neg"] * 30
+    mu = np.asarray(payload["predictions"])
+    assert payload["class_index"] == np.argmax(mu, axis=1).tolist()
 
 
 def test_simulate_deterministic(tmp_path):
@@ -370,6 +392,17 @@ CLI_EXIT_CASES = {
     "hidden_fractional": (2, _configured("shape", "hidden", [2.7], "qut")),
     "hidden_bool": (2, _configured("shape", "hidden", [True], "qut")),
     "hidden_string": (2, _configured("shape", "hidden", ["3"], "qut")),
+    "qut_io_data_not_a_string": (2, lambda t, d: [
+        "qut", *_REG, "--config", _config_file(t, {"io": {"data": [d]}})]),
+    "qut_io_response_empty": (2, lambda t, d: [
+        "qut", "--data", d, "--task", "regression",
+        "--config", _config_file(t, {"io": {"response": ""}})]),
+    "qut_io_out_not_a_string": (2, _configured("io", "out", 7, "qut")),
+    "predict_feature_names_not_a_list": (2, lambda t, d: [
+        "predict", "--data", d, "--model", _model_file(t, lambda m: m.update(feature_names=5))]),
+    "predict_feature_names_a_string": (2, lambda t, d: [
+        "predict", "--data", d, "--model",
+        _model_file(t, lambda m: m.update(feature_names="x0x1"))]),
 }
 
 

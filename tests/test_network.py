@@ -16,7 +16,6 @@ from sparseann import (
     Theta,
     forward,
     link_apply,
-    predict_class,
 )
 from sparseann.activations import act_deriv, act_value
 from sparseann.network import (
@@ -304,13 +303,3 @@ def test_theta_arrays_are_views_of_one_vector():
 def test_shape_serialization_round_trip():
     shape = NetworkShape.make((3, 4, 2), "softmax", ActivationSpec(50.0, 0.5, 2.0))
     assert NetworkShape.from_dict(shape.to_dict()) == shape
-
-
-def test_predict_class_ties_take_smallest_index():
-    shape = NetworkShape.make((2, 2, 2), "softmax")
-    theta = random_theta(shape, np.random.default_rng(8))
-    theta.theta1[...] = 0.0
-    theta.c[...] = 0.0  # both classes at probability 1/2
-    labels = predict_class(shape, theta, np.zeros((4, 2)))
-    assert np.all(labels == 0)
-

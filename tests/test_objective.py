@@ -1,10 +1,11 @@
-"""Tests for losses, the l1 penalty, the prox map and the null-point Hessians."""
+"""Tests for losses, the l1 penalty, the prox map and the theory checks of the objective."""
 
 import numpy as np
 import pytest
 from fd_utils import random_instance, random_theta
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from theory import descent_direction_certificate, hessian_at_null, lambda0, objective_value
 
 from sparseann import (
     ActivationSpec,
@@ -13,12 +14,10 @@ from sparseann import (
     NetworkShape,
     Theta,
     forward,
-    hessian_at_null,
-    objective_value,
     penalty_l1,
 )
 from sparseann.network import loss_value
-from sparseann.objective import descent_direction_certificate, soft_threshold
+from sparseann.objective import soft_threshold
 from sparseann.solver import _ista_step
 
 
@@ -190,8 +189,6 @@ def test_objective_rejects_negative_lambda():
 
 
 def test_null_point_is_local_min_above_threshold():
-    from sparseann import lambda0
-
     rng = np.random.default_rng(5)
     shape, theta, dataset = random_instance(rng, n_layers=2)
     lam = 1.01 * lambda0(dataset, shape)

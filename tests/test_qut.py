@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from fd_utils import random_instance
+from theory import lambda0, lambda0_oracle
 
 from sparseann import qut as qut_module
 from sparseann import (
@@ -12,14 +13,11 @@ from sparseann import (
     Dataset,
     NetworkShape,
     QutConfig,
-    QutResult,
     SimConfig,
     SolverConfig,
     act_deriv,
     compute_qut,
-    lambda0,
     lambda0_classification,
-    lambda0_oracle,
     lambda0_regression,
     sample_null_classification,
     sample_null_regression,
@@ -188,21 +186,6 @@ def test_qut_config_validation():
         QutConfig(alpha=1.0)
     with pytest.raises(ValueError):
         QutConfig(mc_samples=99)
-
-
-def test_qut_result_serialization_round_trip():
-    dataset = _small_regression()
-    shape = NetworkShape.make((4, 3, 1), "identity")
-    res = compute_qut(dataset, shape, QutConfig(mc_samples=100, seed=5))
-    again = QutResult.from_dict(res.to_dict())
-    assert again.lambda_qut == res.lambda_qut
-    assert np.array_equal(again.lambda_samples, res.lambda_samples)
-    assert (again.alpha, again.mc_samples, again.seed) == (
-        res.alpha,
-        res.mc_samples,
-        res.seed,
-    )
-    assert (again.task, again.link) == (res.task, res.link)
 
 
 def _per_draw_reference(dataset, shape, config):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from theory import exact_absdiff_network, exact_linear_network
 
 from sparseann import (
     ActivationSpec,
@@ -15,14 +16,13 @@ from sparseann import (
     QutConfig,
     SimConfig,
     SolverConfig,
-    exact_absdiff_network,
-    exact_linear_network,
     forward,
     gen_absdiff,
     gen_linear,
     metrics,
     run_sweep,
 )
+from sparseann.cli import _emit
 
 
 def test_sim_config_defaults_and_validation():
@@ -194,7 +194,7 @@ def test_report_json_csv_round_trip(tmp_path):
     report = _tiny_sweep()
     jpath = tmp_path / "report.json"
     cpath = tmp_path / "report.csv"
-    report.write_json(jpath)
+    _emit(report.to_dict(), jpath)
     report.write_csv(cpath)
     loaded = json.loads(jpath.read_text())
     assert loaded["aggregates"] == report.aggregates()

@@ -1,29 +1,30 @@
 """Tests for the annealed warm-start schedule and its backtracking last level."""
 
+import hashlib
+import json
 import warnings
 
 import numpy as np
 import pytest
 from fd_utils import random_instance
+from theory import lambda0, objective_value
 
 from sparseann import (
     ActivationSpec,
     Dataset,
-    FitResult,
     NetworkShape,
     NumericalError,
     QutConfig,
     SimConfig,
     SolverConfig,
+    Theta,
     compute_qut,
     estimated_support,
     fit,
     forward,
     gen_linear,
     init_theta,
-    lambda0,
     lambda_schedule,
-    objective_value,
     solver,
 )
 from sparseann.network import loss_and_grad
@@ -54,6 +55,16 @@ def test_init_theta_reproducible_unit_rows():
     for W in a.deep:
         assert np.allclose(np.linalg.norm(W, axis=1), 1.0)
     assert np.allclose(a.c, dataset.Y.mean(axis=0))
+
+
+@pytest.mark.parametrize("widths, digest", [
+    ((200, 20, 1), "fae8db71efe8fe8e488bf4ab72b5970fa3bb1c9a5f078b1b87c70be1917d1cb1"),
+    ((10, 8, 4, 1), "ffb074af2e95d565575561b103ea55527b2d19b8a173125d231f4eda4971048f"),
+])
+def test_init_theta_start_point_is_pinned(widths, digest):
+    # a support can depend on the start point: these bytes must not drift
+    theta = init_theta(NetworkShape.make(widths), SolverConfig(), np.random.default_rng(0))
+    assert hashlib.sha256(theta.flat.tobytes()).hexdigest() == digest
 
 
 def test_init_scale_zero_gives_constant_model():
@@ -195,15 +206,14 @@ def test_fit_result_serialization_round_trip():
     rng = np.random.default_rng(10)
     shape, _, dataset = random_instance(rng, n_layers=2, n=20)
     result = fit(shape, dataset, 1.0, FAST)
-    shape2, again = FitResult.from_dict(result.to_dict(shape))
-    assert shape2 == shape
-    assert again.support == result.support
-    assert again.lambda_used == result.lambda_used
-    assert np.array_equal(again.theta.flat, result.theta.flat)
+    saved = json.loads(json.dumps(result.to_dict(shape)))
+    theta = Theta.from_dict(saved["theta"])
+    assert NetworkShape.from_dict(saved["shape"]) == shape
+    assert estimated_support(theta) == saved["support"] == result.support
+    assert saved["lambda_used"] == result.lambda_used
+    assert np.array_equal(theta.flat, result.theta.flat)
     X_new = np.random.default_rng(0).standard_normal((5, shape.n_inputs))
-    assert np.array_equal(
-        forward(shape, again.theta, X_new), forward(shape, result.theta, X_new)
-    )
+    assert np.array_equal(forward(shape, theta, X_new), forward(shape, result.theta, X_new))
 
 
 def test_classification_fit_runs():
