@@ -300,13 +300,14 @@ def _load_model(path):
         theta.check_shapes(shape)
         if not np.all(np.isfinite(theta.flat)):
             raise ValueError("parameters must be finite")
+        for key in ("feature_names", "class_labels"):
+            names = saved.get(key)
+            if names is not None and not (isinstance(names, list)
+                                          and all(isinstance(f, str) for f in names)):
+                raise ValueError(f"{key} must be a list of strings, got {names!r}")
         labels = saved.get("class_labels")
         if labels and len(labels) != shape.n_outputs:
             raise ValueError(f"{len(labels)} class labels for {shape.n_outputs} outputs")
-        names = saved.get("feature_names")
-        if names is not None and not (isinstance(names, list)
-                                      and all(isinstance(f, str) for f in names)):
-            raise ValueError(f"feature_names must be a list of strings, got {names!r}")
     except KeyError as exc:
         raise ConfigError(f"model file has no {exc} entry")
     except (TypeError, ValueError) as exc:

@@ -403,6 +403,9 @@ CLI_EXIT_CASES = {
     "predict_feature_names_a_string": (2, lambda t, d: [
         "predict", "--data", d, "--model",
         _model_file(t, lambda m: m.update(feature_names="x0x1"))]),
+    "predict_class_labels_a_string": (2, lambda t, d: [
+        "predict", "--data", d, "--model",
+        _model_file(t, lambda m: m.update(task="classification", class_labels="x"))]),
 }
 
 
