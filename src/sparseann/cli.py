@@ -76,6 +76,9 @@ def _read_csv(path):
             rows = list(reader)
     except OSError as exc:
         raise DataError(f"cannot read data file: {exc}")
+    if len(set(header)) != len(header):
+        repeated = next(h for i, h in enumerate(header) if h in header[:i])
+        raise DataError(f"{path}: column {repeated!r} appears more than once in the header")
     for r, row in enumerate(rows):
         if len(row) != len(header):
             raise DataError(f"{path}: row {r + 2} has {len(row)} cells, "

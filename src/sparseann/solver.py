@@ -8,10 +8,12 @@ exact zeros, and the free part theta2 takes a plain gradient step.  Deep
 weights below ``DEEP_FLUSH`` in magnitude are set to zero after every
 step, so the outgoing weights of dead hidden units never reach slow
 subnormal numbers.  The levels below the threshold take the fixed step
-``lr_descent`` for at most ``descent_epochs`` steps; the last level, at the
-threshold itself, halves its step until the smooth part's quadratic upper
-bound holds (backtracking) and takes at most ``prox_max_iter`` steps.
-Every level stops once the prox-gradient mapping of its step,
+``lr_descent`` for at most ``descent_epochs`` steps: they only steer the
+path, so they need not converge.  The last level, at the threshold itself,
+halves its step until the smooth part's quadratic upper bound holds
+(backtracking), tries twice the accepted step (at most 1) on the next
+iteration, and takes at most ``prox_max_iter`` steps.  Every level stops
+once the prox-gradient mapping of its step,
 ``max(|delta theta1|_inf / t, |g2|_inf)``, is at most ``STAGE_TOL * lambda``,
 so each level's objective trace has a variable length.
 """
@@ -19,6 +21,7 @@ so each level's objective trace has a variable length.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +51,7 @@ DEEP_FLUSH = 1e-150
 @dataclass(frozen=True)
 class SolverConfig:
     lr_descent: float = 1e-2
-    descent_epochs: int = 800  # most steps a warm-start stage takes
+    descent_epochs: int = 400  # most steps each of the six warm-start levels takes
     prox_max_iter: int = 2000  # most steps the last level, at the threshold, takes
     init_scale: float = 1.0
     seed: int = 0
@@ -70,10 +73,11 @@ class SolverConfig:
 class FitResult:
     """Fitted parameters, estimated support and per-stage objective traces.
 
-    ``objective_trace`` holds one list per level of ``stage_lambdas``, with
-    one objective per gradient evaluation, so its length varies with how
-    soon the level converged.  The last list, the backtracking level at the
-    threshold, ends with the objective at the returned point.
+    ``objective_trace`` holds one ``array("d")`` per level of
+    ``stage_lambdas``, with one objective per gradient evaluation, so its
+    length varies with how soon the level converged.  The last array, the
+    backtracking level at the threshold, ends with the objective at the
+    returned point.
 
     ``support`` holds 0-based input-column indices whose first-layer weight
     column is not identically zero (the epsilon = 0 rule).
@@ -83,7 +87,7 @@ class FitResult:
     support: list
     lambda_used: float
     stage_lambdas: list
-    objective_trace: list = field(default_factory=list)  # one list per level
+    objective_trace: list = field(default_factory=list)  # one array("d") per level
 
     def to_dict(self, shape: NetworkShape) -> dict:
         return {
@@ -184,7 +188,7 @@ def fit(
 
     lr = config.lr_descent
     for stage, lam in enumerate(lambdas[:-1]):
-        trace = []
+        trace = array("d")
         try:
             for _ in range(config.descent_epochs):
                 loss, grad = loss_and_grad(shape, theta, dataset, loss_kind, out=grad)
@@ -200,7 +204,7 @@ def fit(
         traces.append(trace)
 
     lam = lambdas[-1]
-    trace = []
+    trace = array("d")
     step = 1.0
     try:
         loss, grad = loss_and_grad(shape, theta, dataset, loss_kind, out=grad)
@@ -215,6 +219,7 @@ def fit(
                 raise NumericalError("objective diverged in the proximal stage")
             if mapping is None or mapping <= STAGE_TOL * lam:
                 break
+            step = min(2.0 * step, 1.0)  # the next trial may double back
             loss, grad = loss_and_grad(shape, theta, dataset, loss_kind, new_pass, out=grad)
     except FloatingPointError:
         raise NumericalError("objective diverged in the proximal stage") from None

@@ -95,6 +95,15 @@ def test_load_csv_missing_value(tmp_path):
         load_csv(path, "y", "regression")
 
 
+def test_load_csv_names_a_repeated_column(tmp_path):
+    # a second "y" would otherwise be read as a feature: the response in X
+    path = _csv_with_header(tmp_path, ["a", "y", "b", "y"])
+    from sparseann import DataError
+
+    with pytest.raises(DataError, match="column 'y' appears more than once"):
+        load_csv(path, "y", "regression")
+
+
 def test_qut_command(regression_csv, tmp_path):
     out = tmp_path / "qut.json"
     code = main([
@@ -287,6 +296,13 @@ def _csv_with_cell(tmp_path, value, column):
     return str(path)
 
 
+def _csv_with_header(tmp_path, header):
+    """Small CSV of random numbers under ``header``."""
+    path = tmp_path / "header.csv"
+    _write_csv(path, header, np.random.default_rng(0).standard_normal((10, len(header))).tolist())
+    return str(path)
+
+
 def _model_file(tmp_path, edit):
     """Saved fit of a (4, 3, 1) network over x0..x3, changed by ``edit``."""
     shape = NetworkShape.make((4, 3, 1))
@@ -335,6 +351,8 @@ CLI_EXIT_CASES = {
                                           *_REG]),
     "fit_nan_feature": (3, lambda t, d: ["fit", "--data", _csv_with_cell(t, "nan", "x"),
                                          *_REG]),
+    "qut_repeated_header_name": (3, lambda t, d: [
+        "qut", "--data", _csv_with_header(t, ["a", "y", "b", "y"]), *_REG]),
     "activation_m_not_a_number": (2, lambda t, d: [
         "qut", "--data", d, *_REG,
         "--config", _config_file(t, {"shape": {"activation": {"M": "abc"}}})]),

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from sparseann import (
     estimated_support,
     fit,
     forward,
+    gen_absdiff,
     gen_linear,
     init_theta,
     lambda_schedule,
@@ -216,6 +218,19 @@ def test_fit_result_serialization_round_trip():
     assert np.array_equal(forward(shape, theta, X_new), forward(shape, result.theta, X_new))
 
 
+def test_model_file_trace_is_lists_of_floats():
+    rng = np.random.default_rng(10)
+    shape, _, dataset = random_instance(rng, n_layers=2, n=20)
+    result = fit(shape, dataset, 1.0, FAST)
+    assert all(isinstance(t, array) and t.typecode == "d" for t in result.objective_trace)
+    written = result.to_dict(shape)["objective_trace"]
+    assert type(written) is list and len(written) == len(result.objective_trace) == 7
+    for level, entries in zip(result.objective_trace, written):
+        assert type(entries) is list and all(type(v) is float for v in entries)
+        assert entries == list(level)
+    json.dumps(written, allow_nan=False)
+
+
 def test_classification_fit_runs():
     rng = np.random.default_rng(12)
     shape, _, dataset = random_instance(
@@ -269,16 +284,21 @@ def test_reusing_the_accepted_trial_forward_pass_changes_no_bit(monkeypatch):
     assert again.objective_trace == reused.objective_trace
 
 
-def _linear_sweep_instance(s, rep, p1=50, seed=500):
-    """Data, lambda_qut and solver config of one linear ``run_sweep`` repetition
-    (seed 500 and s=0 are acceptance criterion 5's sweep)."""
-    sim = SimConfig.linear(n=100, p1=p1, s_values=(s,), repetitions=rep + 1, seed=seed)
-    shape = NetworkShape.make((p1, 20, 1), "identity", ActivationSpec(20.0, 1.0, 1.0))
-    rng = np.random.default_rng([seed, s, rep])
+def _sweep_instance(sim, s, rep):
+    """Data, lambda_qut and solver config of repetition ``rep`` at sparsity ``s``
+    of ``run_sweep(sim, ...)``, drawn from the streams that ``run_sweep`` uses."""
+    shape = NetworkShape.make((sim.p1, 20, 1), "identity", ActivationSpec(20.0, 1.0, 1.0))
+    rng = np.random.default_rng([sim.seed, s, rep])
     sub_seed = int(rng.integers(2**63))
-    dataset, _, _ = gen_linear(sim, s, rng)
+    gen = gen_linear if sim.kind == "linear" else gen_absdiff
+    dataset, _, _ = gen(sim, s, rng)
     lam = compute_qut(dataset, shape, QutConfig(alpha=0.05, seed=sub_seed)).lambda_qut
     return shape, dataset, lam, SolverConfig(seed=sub_seed)
+
+
+def _linear_sweep_instance(s, rep):
+    """One repetition of acceptance criterion 5's linear sweep (seed 500, s=0)."""
+    return _sweep_instance(SimConfig.linear(n=100, p1=50, s_values=(s,), seed=500), s, rep)
 
 
 def test_near_threshold_support_does_not_hang_on_the_last_bit_of_lambda():
@@ -294,6 +314,18 @@ def test_null_fit_descent_stages_stop_early():
     descent = result.objective_trace[:-1]
     assert len(descent) == 6
     assert sum(map(len, descent)) < 0.5 * 6 * cfg.descent_epochs
+
+
+@pytest.mark.slow
+def test_absdiff_fit_that_reached_the_step_cap_converges():
+    # run_sweep(SimConfig.absdiff(s_values=(2,), seed=701), ...) repetition 0: while
+    # the last level's step could only halve, it ran all prox_max_iter = 2000 steps
+    # and stopped at a KKT residual of 1.06e-2 * lambda
+    shape, dataset, lam, cfg = _sweep_instance(SimConfig.absdiff(s_values=(2,), seed=701), 2, 0)
+    result = fit(shape, dataset, lam, cfg)
+    assert len(result.objective_trace[-1]) - 1 < cfg.prox_max_iter
+    assert result.support == [0, 1]
+    assert _kkt_residual(shape, dataset, result.theta, lam) <= 2 * solver.STAGE_TOL * lam
 
 
 @pytest.mark.parametrize("s", [0, 4])
