@@ -297,7 +297,8 @@ def _sweep_instance(sim, s, rep):
 
 
 def _linear_sweep_instance(s, rep):
-    """One repetition of acceptance criterion 5's linear sweep (seed 500, s=0)."""
+    """``_sweep_instance`` of a linear sweep at criterion 5's seed 500 and p1=50
+    (criterion 5 itself is s=0)."""
     return _sweep_instance(SimConfig.linear(n=100, p1=50, s_values=(s,), seed=500), s, rep)
 
 
