@@ -12,16 +12,19 @@ subnormal numbers.  The levels below the threshold take the fixed step
 path, so they need not converge.  The last level, at the threshold itself,
 halves its step until the smooth part's quadratic upper bound holds
 (backtracking), tries twice the accepted step (at most 1) on the next
-iteration, and takes at most ``prox_max_iter`` steps.  Every level stops
-once the prox-gradient mapping of its step,
-``max(|delta theta1|_inf / t, |g2|_inf)``, is at most ``STAGE_TOL * lambda``,
-so each level's objective trace has a variable length.
+iteration, and takes at most ``prox_max_iter`` steps.  A fixed-step level
+stops once the prox-gradient mapping of its step,
+``max(|delta theta1|_inf / t, |g2|_inf)``, is at most ``STAGE_TOL * lambda``.
+The last level stops once the first-order optimality (KKT) residual at its
+new point, from the gradient its next step needs anyway, is at most
+``STAGE_TOL * lambda``: with a step that can double, the mapping of the
+accepted step no longer bounds that residual.  So each level's objective
+trace has a variable length.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +42,8 @@ from .network import (
 )
 from .objective import penalty_l1, soft_threshold
 
-# A level ends once its prox-gradient mapping is at most STAGE_TOL * lambda.
+# A fixed-step level ends once its prox-gradient mapping, and the last level
+# once its KKT residual, is at most STAGE_TOL * lambda.
 STAGE_TOL = 1e-3
 # Deep weights smaller than this are set to zero after every update.  The
 # outgoing weights of a hidden unit whose first-layer row is zero decay
@@ -73,11 +77,10 @@ class SolverConfig:
 class FitResult:
     """Fitted parameters, estimated support and per-stage objective traces.
 
-    ``objective_trace`` holds one ``array("d")`` per level of
-    ``stage_lambdas``, with one objective per gradient evaluation, so its
-    length varies with how soon the level converged.  The last array, the
-    backtracking level at the threshold, ends with the objective at the
-    returned point.
+    ``objective_trace`` holds one list per level of ``stage_lambdas``, with
+    one objective per gradient evaluation, so its length varies with how
+    soon the level converged.  The last list, the backtracking level at the
+    threshold, ends with the objective at the returned point.
 
     ``support`` holds 0-based input-column indices whose first-layer weight
     column is not identically zero (the epsilon = 0 rule).
@@ -87,7 +90,7 @@ class FitResult:
     support: list
     lambda_used: float
     stage_lambdas: list
-    objective_trace: list = field(default_factory=list)  # one array("d") per level
+    objective_trace: list = field(default_factory=list)  # one list per level
 
     def to_dict(self, shape: NetworkShape) -> dict:
         return {
@@ -164,6 +167,16 @@ def _ista_step(theta: Theta, grad: Theta, step: float, lam: float, out: Theta) -
     return mapping
 
 
+def _kkt_residual(theta: Theta, grad: Theta, lam: float) -> float:
+    """Largest first-order optimality residual at ``theta`` whose smooth-part
+    gradient is ``grad``: ``|g1 + lam sign(w)|`` on nonzero penalized entries,
+    ``max(|g1| - lam, 0)`` on zero ones and ``|g2|`` on the free ones."""
+    w, g = theta.theta1, grad.theta1
+    penalized = np.where(w != 0.0, np.abs(g + lam * np.sign(w)),
+                         np.maximum(np.abs(g) - lam, 0.0))
+    return max(penalized.max(initial=0.0), np.abs(grad.theta2).max(initial=0.0))
+
+
 # An overflow or an invalid operation means the iterates blew up: stop at the
 # first one, as a NumericalError, instead of warning and carrying inf and NaN on.
 @np.errstate(over="raise", invalid="raise", divide="raise")
@@ -188,7 +201,7 @@ def fit(
 
     lr = config.lr_descent
     for stage, lam in enumerate(lambdas[:-1]):
-        trace = array("d")
+        trace = []
         try:
             for _ in range(config.descent_epochs):
                 loss, grad = loss_and_grad(shape, theta, dataset, loss_kind, out=grad)
@@ -204,23 +217,25 @@ def fit(
         traces.append(trace)
 
     lam = lambdas[-1]
-    trace = array("d")
+    trace = []
     step = 1.0
     try:
         loss, grad = loss_and_grad(shape, theta, dataset, loss_kind, out=grad)
         obj = loss + lam * penalty_l1(theta)
         for _ in range(config.prox_max_iter):
             trace.append(obj)
-            theta, loss, step, mapping, new_pass = _prox_step(
+            theta, loss, step, new_pass = _prox_step(
                 shape, theta, dataset, loss_kind, loss, grad, lam, step
             )
             obj = loss + lam * penalty_l1(theta)
             if not np.isfinite(obj):
                 raise NumericalError("objective diverged in the proximal stage")
-            if mapping is None or mapping <= STAGE_TOL * lam:
+            if new_pass is None:
+                break  # stuck
+            loss, grad = loss_and_grad(shape, theta, dataset, loss_kind, new_pass, out=grad)
+            if _kkt_residual(theta, grad, lam) <= STAGE_TOL * lam:
                 break
             step = min(2.0 * step, 1.0)  # the next trial may double back
-            loss, grad = loss_and_grad(shape, theta, dataset, loss_kind, new_pass, out=grad)
     except FloatingPointError:
         raise NumericalError("objective diverged in the proximal stage") from None
     trace.append(obj)
@@ -238,14 +253,13 @@ def fit(
 def _prox_step(shape, theta, dataset, loss_kind, loss, grad, lam, step):
     """One ISTA step with backtracking halving until sufficient decrease.
 
-    Returns the new point, its loss, the step, the step's prox-gradient
-    mapping and the forward pass ``(mu, cache)`` at the new point.  When the
-    step falls below 1e-14 with no trial accepted, returns ``theta`` itself
-    with None for the last two.
+    Returns the new point, its loss, the step and the forward pass
+    ``(mu, cache)`` at the new point.  When the step falls below 1e-14 with
+    no trial accepted, returns ``theta`` itself with None for the pass.
     """
     cand = theta.copy()
     while True:
-        mapping = _ista_step(theta, grad, step, lam, out=cand)
+        _ista_step(theta, grad, step, lam, out=cand)
         try:
             trial = forward(shape, cand, dataset.X, return_cache=True)
             new_loss = loss_value(loss_kind, dataset.Y, trial[0])
@@ -256,7 +270,7 @@ def _prox_step(shape, theta, dataset, loss_kind, loss, grad, lam, step):
         inner = float(np.sum(grad.flat * delta))
         sq = float(np.sum(delta * delta))
         if new_loss <= loss + inner + sq / (2.0 * step) + 1e-12:
-            return cand, new_loss, step, mapping, trial
+            return cand, new_loss, step, trial
         step *= 0.5
         if step < 1e-14:
-            return theta, loss, step, None, None  # stuck
+            return theta, loss, step, None  # stuck

@@ -95,15 +95,6 @@ def test_load_csv_missing_value(tmp_path):
         load_csv(path, "y", "regression")
 
 
-def test_load_csv_names_a_repeated_column(tmp_path):
-    # a second "y" would otherwise be read as a feature: the response in X
-    path = _csv_with_header(tmp_path, ["a", "y", "b", "y"])
-    from sparseann import DataError
-
-    with pytest.raises(DataError, match="column 'y' appears more than once"):
-        load_csv(path, "y", "regression")
-
-
 def test_qut_command(regression_csv, tmp_path):
     out = tmp_path / "qut.json"
     code = main([

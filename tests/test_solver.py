@@ -3,7 +3,6 @@
 import hashlib
 import json
 import warnings
-from array import array
 
 import numpy as np
 import pytest
@@ -218,19 +217,6 @@ def test_fit_result_serialization_round_trip():
     assert np.array_equal(forward(shape, theta, X_new), forward(shape, result.theta, X_new))
 
 
-def test_model_file_trace_is_lists_of_floats():
-    rng = np.random.default_rng(10)
-    shape, _, dataset = random_instance(rng, n_layers=2, n=20)
-    result = fit(shape, dataset, 1.0, FAST)
-    assert all(isinstance(t, array) and t.typecode == "d" for t in result.objective_trace)
-    written = result.to_dict(shape)["objective_trace"]
-    assert type(written) is list and len(written) == len(result.objective_trace) == 7
-    for level, entries in zip(result.objective_trace, written):
-        assert type(entries) is list and all(type(v) is float for v in entries)
-        assert entries == list(level)
-    json.dumps(written, allow_nan=False)
-
-
 def test_classification_fit_runs():
     rng = np.random.default_rng(12)
     shape, _, dataset = random_instance(
@@ -318,11 +304,14 @@ def test_null_fit_descent_stages_stop_early():
 
 
 @pytest.mark.slow
-def test_absdiff_fit_that_reached_the_step_cap_converges():
-    # run_sweep(SimConfig.absdiff(s_values=(2,), seed=701), ...) repetition 0: while
-    # the last level's step could only halve, it ran all prox_max_iter = 2000 steps
-    # and stopped at a KKT residual of 1.06e-2 * lambda
-    shape, dataset, lam, cfg = _sweep_instance(SimConfig.absdiff(s_values=(2,), seed=701), 2, 0)
+@pytest.mark.parametrize("seed, rep", [(701, 0), (701, 3), (701, 5), (702, 1)])
+def test_absdiff_fit_that_reached_the_step_cap_converges(seed, rep):
+    # run_sweep(SimConfig.absdiff(s_values=(2,), seed=seed), ...) repetition rep.
+    # While the last level's step could only halve, 701/0 ran all prox_max_iter =
+    # 2000 steps and stopped at a KKT residual of 1.06e-2 * lambda.  Once the step
+    # could double, a stop rule on the step's prox-gradient mapping ended the
+    # other three at 2.2e-3, 2.8e-3 and 3.0e-3 * lambda.
+    shape, dataset, lam, cfg = _sweep_instance(SimConfig.absdiff(s_values=(2,), seed=seed), 2, rep)
     result = fit(shape, dataset, lam, cfg)
     assert len(result.objective_trace[-1]) - 1 < cfg.prox_max_iter
     assert result.support == [0, 1]
