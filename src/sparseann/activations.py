@@ -118,32 +118,28 @@ def _logistic_shifted(v, arg):
 
 
 def _pow(f, exponent):
-    """f ** exponent with the convention 0**0 = 1 and 0**neg = 0.
+    """f ** exponent with the convention 0**neg = 0.
 
     f is nonnegative; f = 0 only occurs in the ReLU limit, where the
     matching derivative factor is zero anyway.
     """
-    if exponent == 0:
-        return np.ones_like(f)
     if exponent < 0:
         return np.where(f > 0, np.power(np.where(f > 0, f, 1.0), exponent), 0.0)
     return np.power(f, exponent)
 
 
-def activate(spec: ActivationSpec, u, value: bool = True, deriv: bool = True):
-    """(sigma(u), sigma'(u)) of a float array u, each None unless asked for.
+def activate(spec: ActivationSpec, u, deriv: bool = True):
+    """(sigma(u), sigma'(u)) of a float array u; sigma'(u) is None without ``deriv``.
 
     Checks u and computes ``_shift`` once for both.  sigma'(u) = f(u)^(k-1) f'(u);
-    at k = 1 that is the logistic f'(u) alone, and f is only computed for the value.
+    at k = 1 that is the logistic f'(u) alone.
     """
     _check_finite(u)
     v, arg = _shift(spec, u)
-    f = _softplus_shifted(spec, v, arg) if value or (deriv and spec.k != 1.0) else None
+    f = _softplus_shifted(spec, v, arg)
     fp = _logistic_shifted(v, arg) if deriv else None
     if deriv and spec.k != 1.0:
         fp *= _pow(f, spec.k - 1.0)
-    if not value:
-        return None, fp
     if spec.k == 1.0:
         f -= spec.offset
     else:
@@ -162,4 +158,4 @@ def act_value(spec: ActivationSpec, u):
 def act_deriv(spec: ActivationSpec, u):
     """sigma'(u) = f(u)^(k-1) f'(u); at k = 1 that is the logistic f'(u) alone."""
     u, scalar = _as_array(u)
-    return _unwrap(activate(spec, u, value=False)[1], scalar)
+    return _unwrap(activate(spec, u)[1], scalar)

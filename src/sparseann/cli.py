@@ -19,8 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .activations import ActivationSpec
-from .errors import ConfigError, DataError, NumericalError, SparseAnnError, check_int
-from .network import Dataset, NetworkShape, Theta, forward
+from .errors import (ConfigError, DataError, DegenerateParameterError, NumericalError,
+                     SparseAnnError, check_int)
+from .network import Dataset, NetworkShape, Theta, forward, normalize_rows
 from .qut import QutConfig, _deriv0_product, compute_qut
 from .simulate import SimConfig, run_sweep
 from .solver import SolverConfig, fit
@@ -303,6 +304,8 @@ def _load_model(path):
         theta.check_shapes(shape)
         if not np.all(np.isfinite(theta.flat)):
             raise ValueError("parameters must be finite")
+        for W in theta.deep:
+            normalize_rows(W)  # a zero deep row leaves the layer map undefined
         for key in ("feature_names", "class_labels"):
             names = saved.get(key)
             if names is not None and not (isinstance(names, list)
@@ -313,7 +316,7 @@ def _load_model(path):
             raise ValueError(f"{len(labels)} class labels for {shape.n_outputs} outputs")
     except KeyError as exc:
         raise ConfigError(f"model file has no {exc} entry")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, DegenerateParameterError) as exc:
         raise ConfigError(f"invalid model file: {exc}")
     return saved, shape, theta
 
@@ -325,7 +328,14 @@ def cmd_predict(args) -> int:
     if X.shape[1] != shape.n_inputs:
         raise DataError(f"{args.data}: {X.shape[1]} feature columns, "
                         f"the model takes {shape.n_inputs}")
-    mu = forward(shape, theta, X)
+    # Finite data can overflow inside the network.  forward's finiteness checks
+    # decide (an overflow that the softplus absorbs in its linear branch is
+    # harmless), so numpy's warnings would only add lines to stderr.
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu = forward(shape, theta, X)
+    except ValueError as exc:
+        raise NumericalError(f"the network overflows on {args.data}: {exc}") from None
     payload = {"predictions": mu.tolist(), "feature_names": used_names}
     if saved.get("task", "regression") == "classification":
         idx = np.argmax(mu, axis=1)  # ties go to the smallest index

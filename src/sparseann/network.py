@@ -201,6 +201,9 @@ class Dataset:
         if self.task == "regression" and self.Y.shape[1] != 1:
             raise ValueError("regression responses must be n x 1")
         if self.task == "classification":
+            if self.Y.shape[1] < 2:
+                raise DataError("classification needs at least two classes, got "
+                                f"{self.Y.shape[1]}")
             if not np.all(np.isin(self.Y, (0.0, 1.0))):
                 raise ValueError("classification responses must be one-hot")
             if not np.allclose(self.Y.sum(axis=1), 1.0):

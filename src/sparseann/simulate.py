@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, SparseAnnError, check_int
-from .network import Dataset, forward
+from .network import Dataset, NetworkShape, forward
 from .qut import QutConfig, compute_qut
 from .solver import SolverConfig, fit
 
@@ -165,13 +165,12 @@ class SimReport:
 
 def run_sweep(
     sim: SimConfig,
-    shape_for,
+    shape: NetworkShape,
     qut_config: QutConfig,
     solver_config: SolverConfig,
 ) -> SimReport:
     """Generate, select the threshold, fit and score every repetition.
 
-    ``shape_for`` is either a NetworkShape or a callable p1 -> NetworkShape.
     Fully deterministic given the master seed: each repetition derives its
     RNG stream and per-stage seeds from (seed, s, repetition).
     """
@@ -183,7 +182,6 @@ def run_sweep(
             rng = np.random.default_rng([sim.seed, s, rep])
             sub_seed = int(rng.integers(2**63))
             dataset, support_true, true_mu = gen(sim, s, rng)
-            shape = shape_for(dataset.n_features) if callable(shape_for) else shape_for
             row = {
                 "s": s,
                 "rep": rep,

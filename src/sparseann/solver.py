@@ -8,12 +8,13 @@ exact zeros, and the free part theta2 takes a plain gradient step.  Deep
 weights below ``DEEP_FLUSH`` in magnitude are set to zero after every
 step, so the outgoing weights of dead hidden units never reach slow
 subnormal numbers.  The levels below the threshold take the fixed step
-``lr_descent`` for at most ``descent_epochs`` steps: they only steer the
-path, so they need not converge.  The last level, at the threshold itself,
-halves its step until the smooth part's quadratic upper bound holds
-(backtracking), tries twice the accepted step (at most 1) on the next
-iteration, and takes at most ``prox_max_iter`` steps.  A fixed-step level
-stops once the prox-gradient mapping of its step,
+``LR_DESCENT`` for at most ``descent_epochs`` steps (none in a cold start):
+they only steer the path, so they need not converge.  The last level, at
+the threshold itself, halves its step until the smooth part's quadratic
+upper bound holds (backtracking), tries twice the accepted step (at most 1)
+on the next iteration, and takes at most ``prox_max_iter`` steps; each trial
+goes into one buffer, which trades places with the iterate on acceptance.
+A fixed-step level stops once the prox-gradient mapping of its step,
 ``max(|delta theta1|_inf / t, |g2|_inf)``, is at most ``STAGE_TOL * lambda``.
 The last level stops once the first-order optimality (KKT) residual at its
 new point, from the gradient its next step needs anyway, is at most
@@ -50,20 +51,19 @@ STAGE_TOL = 1e-3
 # towards subnormals, whose arithmetic is many times slower; a deep row never
 # has a norm below 1, so entries this small change no output.
 DEEP_FLUSH = 1e-150
+# The step of the six fixed-step levels.  A smaller first step, backtracking or
+# step growth there lost pair-difference recoveries.
+LR_DESCENT = 1e-2
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    lr_descent: float = 1e-2
-    descent_epochs: int = 400  # most steps each of the six warm-start levels takes
+    descent_epochs: int = 400  # most steps each warm-start level takes; 0 is a cold start
     prox_max_iter: int = 2000  # most steps the last level, at the threshold, takes
     init_scale: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.lr_descent < math.inf:
-            raise ValueError(f"lr_descent must be positive and finite, "
-                             f"got {self.lr_descent!r}")
         # rng.uniform(-s, s) needs the width 2 s to be finite
         if not 0 <= 2 * self.init_scale < math.inf:
             raise ValueError(f"init_scale must be nonnegative with 2 * init_scale finite, "
@@ -185,21 +185,19 @@ def fit(
     dataset: Dataset,
     lambda_qut: float,
     config: SolverConfig,
-    anneal: bool = True,
 ) -> FitResult:
     """Run the warm-start schedule; its last level is the backtracking one.
 
-    With ``anneal=False`` the schedule is skipped and only the last level
-    runs, at the final penalty level (cold start); used for comparisons only.
+    With ``SolverConfig(descent_epochs=0)`` only the last level takes steps,
+    from the random start (a cold start); the six others keep empty traces.
     """
     rng = np.random.default_rng(config.seed)
     theta = init_theta(shape, config, rng, dataset)
     loss_kind = dataset.loss_kind
-    lambdas = lambda_schedule(lambda_qut) if anneal else [float(lambda_qut)]
+    lambdas = lambda_schedule(lambda_qut)
     traces = []
     grad = Theta.zeros(shape)  # every gradient evaluation of the fit writes here
 
-    lr = config.lr_descent
     for stage, lam in enumerate(lambdas[:-1]):
         trace = []
         try:
@@ -209,7 +207,7 @@ def fit(
                 if not np.isfinite(obj):
                     raise NumericalError(f"objective diverged in descent stage {stage}")
                 trace.append(obj)
-                if _ista_step(theta, grad, lr, lam, out=theta) <= STAGE_TOL * lam:
+                if _ista_step(theta, grad, LR_DESCENT, lam, out=theta) <= STAGE_TOL * lam:
                     break
         except (ValueError, FloatingPointError):
             # non-finite intermediates mean the iterates blew up
@@ -217,6 +215,7 @@ def fit(
         traces.append(trace)
 
     lam = lambdas[-1]
+    trial = Theta.zeros(shape)  # every trial step of the last level writes here
     trace = []
     step = 1.0
     try:
@@ -224,15 +223,15 @@ def fit(
         obj = loss + lam * penalty_l1(theta)
         for _ in range(config.prox_max_iter):
             trace.append(obj)
-            theta, loss, step, new_pass = _prox_step(
-                shape, theta, dataset, loss_kind, loss, grad, lam, step
-            )
+            step, new_pass = _backtrack(shape, theta, dataset, loss_kind, loss, grad, lam,
+                                        step, trial)
+            if new_pass is None:
+                break  # stuck
+            theta, trial = trial, theta
+            loss, grad = loss_and_grad(shape, theta, dataset, loss_kind, new_pass, out=grad)
             obj = loss + lam * penalty_l1(theta)
             if not np.isfinite(obj):
                 raise NumericalError("objective diverged in the proximal stage")
-            if new_pass is None:
-                break  # stuck
-            loss, grad = loss_and_grad(shape, theta, dataset, loss_kind, new_pass, out=grad)
             if _kkt_residual(theta, grad, lam) <= STAGE_TOL * lam:
                 break
             step = min(2.0 * step, 1.0)  # the next trial may double back
@@ -250,27 +249,26 @@ def fit(
     )
 
 
-def _prox_step(shape, theta, dataset, loss_kind, loss, grad, lam, step):
-    """One ISTA step with backtracking halving until sufficient decrease.
+def _backtrack(shape, theta, dataset, loss_kind, loss, grad, lam, step, trial):
+    """Write the ISTA step from ``theta`` into ``trial``, halving ``step`` until
+    the smooth part's quadratic upper bound holds there.
 
-    Returns the new point, its loss, the step and the forward pass
-    ``(mu, cache)`` at the new point.  When the step falls below 1e-14 with
-    no trial accepted, returns ``theta`` itself with None for the pass.
+    Returns the accepted step and the forward pass ``(mu, cache)`` at ``trial``.
+    When the step falls below 1e-14 with no trial accepted, returns None for
+    the pass.
     """
-    cand = theta.copy()
     while True:
-        _ista_step(theta, grad, step, lam, out=cand)
+        _ista_step(theta, grad, step, lam, out=trial)
         try:
-            trial = forward(shape, cand, dataset.X, return_cache=True)
-            new_loss = loss_value(loss_kind, dataset.Y, trial[0])
+            new_pass = forward(shape, trial, dataset.X, return_cache=True)
+            new_loss = loss_value(loss_kind, dataset.Y, new_pass[0])
         except (NumericalError, DegenerateParameterError, ValueError, FloatingPointError):
-            trial, new_loss = None, np.inf
-        # quadratic upper-bound test for the smooth part
-        delta = cand.flat - theta.flat
+            new_pass, new_loss = None, np.inf
+        delta = trial.flat - theta.flat
         inner = float(np.sum(grad.flat * delta))
         sq = float(np.sum(delta * delta))
         if new_loss <= loss + inner + sq / (2.0 * step) + 1e-12:
-            return cand, new_loss, step, trial
+            return step, new_pass
         step *= 0.5
         if step < 1e-14:
-            return theta, loss, step, None  # stuck
+            return step, None

@@ -294,6 +294,34 @@ def _csv_with_header(tmp_path, header):
     return str(path)
 
 
+def _csv_with_huge_features(tmp_path):
+    """30-row regression CSV whose features x0..x2 are normals times 1e154, 1e227
+    and 1e300: the first warm-start step overflows."""
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((30, 3)) * np.logspace(154, 300, 3)
+    path = tmp_path / "huge.csv"
+    _write_csv(path, ["x0", "x1", "x2", "y"],
+               np.column_stack([X, rng.standard_normal(30)]).tolist())
+    return str(path)
+
+
+def _csv_with_huge_x0(tmp_path):
+    """Feature CSV over x0..x3 whose second row holds 1e308 in x0."""
+    path = tmp_path / "huge.csv"
+    rows = np.random.default_rng(0).standard_normal((5, 4)).tolist()
+    rows[1][0] = 1e308
+    _write_csv(path, ["x0", "x1", "x2", "x3"], rows)
+    return str(path)
+
+
+def _single_label_csv(tmp_path):
+    """40-row classification CSV over x0..x2 whose every label is ``red``."""
+    path = tmp_path / "single.csv"
+    X = np.random.default_rng(0).standard_normal((40, 3))
+    _write_csv(path, ["x0", "x1", "x2", "label"], [[*x, "red"] for x in X.tolist()])
+    return str(path)
+
+
 def _model_file(tmp_path, edit):
     """Saved fit of a (4, 3, 1) network over x0..x3, changed by ``edit``."""
     shape = NetworkShape.make((4, 3, 1))
@@ -306,8 +334,17 @@ def _model_file(tmp_path, edit):
     return str(path)
 
 
+def _weigh_x0_by_3(saved):
+    saved["theta"]["W1"][0][0] = 3.0
+
+
+def _zero_a_deep_row(saved):
+    saved["theta"]["deep"][0][0] = [0.0, 0.0, 0.0]
+
+
 _RELU = {"shape": {"activation": {"M": "inf", "u0": 0.0}}}
 _REG = ["--response", "y", "--task", "regression", "--mc-samples", "100"]
+_ONE_LABEL = ["--response", "label", "--task", "classification", "--mc-samples", "100"]
 
 
 def _simulate(t, *extra):
@@ -388,12 +425,24 @@ CLI_EXIT_CASES = {
     "fit_nan_init_scale": (2, _configured("solver", "init_scale", float("nan"))),
     "fit_infinite_init_scale": (2, _configured("solver", "init_scale", float("inf"))),
     "fit_init_scale_overflows_when_doubled": (2, _configured("solver", "init_scale", 1e308)),
-    "fit_nan_lr_descent": (2, _configured("solver", "lr_descent", float("nan"))),
+    "fit_removed_lr_descent": (2, _configured("solver", "lr_descent", 1e-2)),
     "fit_removed_prox_tol": (2, _configured("solver", "prox_tol", 1e-8)),
     "fit_classification_identity_link": (2, _linked("fit", "classification", "identity")),
     "qut_classification_identity_link": (2, _linked("qut", "classification", "identity")),
     "fit_regression_softmax_link": (2, _linked("fit", "regression", "softmax")),
-    "fit_diverging_descent": (4, _configured("solver", "lr_descent", 1e300)),
+    "fit_diverging_descent": (4, lambda t, d: [
+        "fit", "--data", _csv_with_huge_features(t), *_REG, "--lambda", "1"]),
+    "qut_single_label": (3, lambda t, d: ["qut", "--data", _single_label_csv(t), *_ONE_LABEL]),
+    "fit_single_label": (3, lambda t, d: ["fit", "--data", _single_label_csv(t), *_ONE_LABEL]),
+    # x0 = 1e308: with the weight 3 on x0, X @ W1.T overflows before any activation;
+    # with the model's weights below 1 only the softplus argument overflows, and its
+    # value is still the finite, linear branch
+    "predict_overflowing_first_layer": (4, lambda t, d: [
+        "predict", "--data", _csv_with_huge_x0(t), "--model", _model_file(t, _weigh_x0_by_3)]),
+    "predict_huge_finite_cell": (0, lambda t, d: [
+        "predict", "--data", _csv_with_huge_x0(t), "--model", _model_file(t, lambda m: None)]),
+    "predict_zero_deep_row": (2, lambda t, d: [
+        "predict", "--data", d, "--model", _model_file(t, _zero_a_deep_row)]),
     "simulate_zero_reps": (2, lambda t, d: _simulate(t, "--reps", "0")),
     "simulate_negative_reps": (2, lambda t, d: _simulate(t, "--reps", "-3")),
     "simulate_negative_sparsity": (2, lambda t, d: _simulate(t, "--reps", "1", "--s-grid", "-1")),

@@ -264,6 +264,8 @@ def test_dataset_validation():
             Dataset(X=np.where(np.eye(3, 2), bad, 0.0), Y=np.zeros((3, 1)), task="regression")
         with pytest.raises(DataError):
             Dataset(X=X, Y=np.full((3, 1), -bad), task="regression")
+    with pytest.raises(DataError):  # one label: no class to tell apart
+        Dataset(X=X, Y=np.ones((3, 1)), task="classification")
     ok = np.zeros((3, 2))
     ok[:, 0] = 1.0
     Dataset(X=X, Y=ok, task="classification")

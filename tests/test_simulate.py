@@ -21,6 +21,7 @@ from sparseann import (
     gen_linear,
     metrics,
     run_sweep,
+    solver,
 )
 from sparseann.cli import _emit
 
@@ -179,13 +180,14 @@ def test_run_sweep_deterministic():
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
-def test_run_sweep_records_failures():
+def test_run_sweep_records_failures(monkeypatch):
     # an absurd learning rate makes the iterates blow up; the divergence is
     # recorded as a failed repetition, not dropped and not raised
+    monkeypatch.setattr(solver, "LR_DESCENT", 1e300)
     sim = SimConfig.linear(n=10, p1=4, s_values=(1,), repetitions=2, seed=1)
     shape = NetworkShape.make((4, 3, 1), "identity")
-    solver = SolverConfig(lr_descent=1e300, descent_epochs=20, prox_max_iter=50)
-    report = run_sweep(sim, shape, QutConfig(mc_samples=100), solver)
+    config = SolverConfig(descent_epochs=20, prox_max_iter=50)
+    report = run_sweep(sim, shape, QutConfig(mc_samples=100), config)
     assert all(r["failed"] for r in report.rows)
     assert report.aggregates()[0]["failed"] == 2
 

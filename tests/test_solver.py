@@ -3,6 +3,7 @@
 import hashlib
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,6 +138,11 @@ def test_stage_lambdas_recorded():
     assert result.lambda_used == 2.0
     # six fixed-step levels, then the backtracking level at lambda itself
     assert len(result.objective_trace) == len(result.stage_lambdas) == 7
+    # a cold start keeps the schedule and leaves the six fixed-step levels empty
+    cold = fit(shape, dataset, 2.0, replace(FAST, descent_epochs=0))
+    assert cold.stage_lambdas == lambda_schedule(2.0)
+    assert [len(t) for t in cold.objective_trace[:-1]] == [0] * 6
+    assert len(cold.objective_trace[-1]) >= 2
 
 
 def test_fit_deterministic_given_seed():
@@ -157,8 +163,8 @@ def test_warm_start_usually_dominates_cold_start():
         inst_rng = np.random.default_rng([100, t])
         shape, _, dataset = random_instance(inst_rng, n_layers=2, n=30)
         lam = 0.9 * lambda0(dataset, shape)
-        warm = fit(shape, dataset, lam, cfg, anneal=True)
-        cold = fit(shape, dataset, lam, cfg, anneal=False)
+        warm = fit(shape, dataset, lam, cfg)
+        cold = fit(shape, dataset, lam, replace(cfg, descent_epochs=0))
         if objective_value(shape, warm.theta, dataset, lam) <= objective_value(
             shape, cold.theta, dataset, lam
         ) + 1e-8:
@@ -231,23 +237,23 @@ def test_classification_fit_runs():
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(lr_descent=0.0)
     with pytest.raises(TypeError):  # removed key: the last level stops by STAGE_TOL
         SolverConfig(prox_tol=1e-8)
+    with pytest.raises(TypeError):  # removed key: the fixed step is LR_DESCENT
+        SolverConfig(lr_descent=1e-2)
     with pytest.raises(ValueError):
         SolverConfig(init_scale=-1.0)
 
 
-def test_diverging_fit_raises_numerical_error_without_warnings():
+def test_diverging_fit_raises_numerical_error_without_warnings(monkeypatch):
     rng = np.random.default_rng(3)
     X = rng.standard_normal((50, 10))
     dataset = Dataset(X=X, Y=X[:, :1] + rng.standard_normal((50, 1)), task="regression")
+    monkeypatch.setattr(solver, "LR_DESCENT", 1e300)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="diverged in descent stage 0"):
-            fit(NetworkShape.make((10, 5, 1)), dataset, 1.0,
-                SolverConfig(lr_descent=1e300, descent_epochs=50))
+            fit(NetworkShape.make((10, 5, 1)), dataset, 1.0, SolverConfig(descent_epochs=50))
 
 
 def test_reusing_the_accepted_trial_forward_pass_changes_no_bit(monkeypatch):
