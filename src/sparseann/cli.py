@@ -26,13 +26,18 @@ from .qut import QutConfig, _deriv0_product, compute_qut
 from .simulate import SimConfig, run_sweep
 from .solver import SolverConfig, fit
 
+# The run's ``seed`` seeds both the threshold and the solver, so neither section takes one.
 _SECTION_KEYS = {
     "shape": {"hidden", "link", "activation"},
-    "qut": {f.name for f in fields(QutConfig)},
-    "solver": {f.name for f in fields(SolverConfig)},
+    "qut": {f.name for f in fields(QutConfig)} - {"seed"},
+    "solver": {f.name for f in fields(SolverConfig)} - {"seed"},
     "io": {"data", "response", "out"},
 }
 _CONFIG_SECTIONS = {"task", "seed", *_SECTION_KEYS}
+# Each flag, when given, is laid over the config key of its own name in this
+# section (None: the top level).
+_FLAG_SECTIONS = {"seed": None, "task": None, "alpha": "qut", "mc_samples": "qut",
+                  "data": "io", "response": "io", "out": "io"}
 
 
 def _reject_unknown(d: dict, allowed: set, where: str):
@@ -65,6 +70,18 @@ def load_run_config(path) -> dict:
     return cfg
 
 
+def _run_config(args) -> dict:
+    """The config file, if any, with the flags that were given laid over it."""
+    cfg = load_run_config(args.config) if args.config else {}
+    for key, section in _FLAG_SECTIONS.items():
+        value = getattr(args, key, None)
+        if value not in (None, ""):
+            (cfg.setdefault(section, {}) if section else cfg)[key] = value
+    cfg.setdefault("seed", 0)
+    check_int(cfg["seed"], "seed", error=ConfigError)
+    return cfg
+
+
 def _read_csv(path):
     """Header and data rows of a CSV file; every row must match the header."""
     try:
@@ -84,7 +101,24 @@ def _read_csv(path):
         if len(row) != len(header):
             raise DataError(f"{path}: row {r + 2} has {len(row)} cells, "
                             f"expected {len(header)}")
+    if not rows:
+        raise DataError(f"{path}: no data rows")
     return header, rows
+
+
+def _features(path, header, rows, names=None, drop=None):
+    """Feature matrix and its column names: the columns ``names`` if given, else
+    every column but ``drop``, in header order."""
+    if names:
+        missing = [f for f in names if f not in header]
+        if missing:
+            raise DataError(f"{path}: missing feature columns {missing}")
+        idxs = [header.index(f) for f in names]
+    else:
+        idxs = [i for i, h in enumerate(header) if h != drop]
+    if not idxs:
+        raise DataError(f"{path}: no feature columns")
+    return _numeric_columns(path, header, rows, idxs), [header[i] for i in idxs]
 
 
 def _numeric_columns(path, header, rows, idxs) -> np.ndarray:
@@ -129,12 +163,8 @@ def load_csv(path, response: str, task: str) -> Dataset:
     header, rows = _read_csv(path)
     if response not in header:
         raise DataError(f"response column {response!r} not found in header")
-    if not rows:
-        raise DataError(f"{path}: no data rows")
+    X, feature_names = _features(path, header, rows, drop=response)
     y_idx = header.index(response)
-    x_idxs = [i for i in range(len(header)) if i != y_idx]
-    feature_names = [header[i] for i in x_idxs]
-    X = _numeric_columns(path, header, rows, x_idxs)
 
     if task == "regression":
         Y = _numeric_columns(path, header, rows, [y_idx])
@@ -193,45 +223,12 @@ def _require_threshold_activations(shape: NetworkShape):
         raise ConfigError(str(exc))
 
 
-def _section_config(cls, section: str, cfg: dict, args, **flags):
-    """``cls`` from a config section, overridden by the flags given, seeded by the run."""
-    kw = dict(cfg.get(section, {}))
-    kw.update((k, v) for k, v in flags.items() if v is not None)
-    kw.setdefault("seed", _seed_of(cfg, args))
+def _section_config(cls, section: str, cfg: dict):
+    """``cls`` from a config section, seeded by the run."""
     try:
-        return cls(**kw)
+        return cls(**cfg.get(section, {}), seed=cfg["seed"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {section} config: {exc}")
-
-
-def _qut_config(cfg: dict, args) -> QutConfig:
-    return _section_config(QutConfig, "qut", cfg, args,
-                           alpha=args.alpha, mc_samples=args.mc_samples)
-
-
-def _seed_of(cfg: dict, args) -> int:
-    seed = args.seed if getattr(args, "seed", None) is not None else cfg.get("seed", 0)
-    check_int(seed, "seed", error=ConfigError)
-    return seed
-
-
-def _resolve_io(cfg: dict, args):
-    io = cfg.get("io", {})
-    data = args.data or io.get("data")
-    response = args.response or io.get("response")
-    out = args.out or io.get("out")
-    if not data:
-        raise ConfigError("no data file given (--data or io.data)")
-    if not response:
-        raise ConfigError("no response column given (--response or io.response)")
-    return data, response, out
-
-
-def _task_of(cfg: dict, args) -> str:
-    task = getattr(args, "task", None) or cfg.get("task")
-    if task is None:
-        raise ConfigError("no task given (--task or config task)")
-    return task
 
 
 def _emit(payload: dict, out):
@@ -240,54 +237,62 @@ def _emit(payload: dict, out):
     except ValueError:
         raise NumericalError("the result holds a non-finite number; nothing written")
     if out:
-        Path(out).write_text(text + "\n")
+        try:
+            Path(out).write_text(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file: {exc}")
     else:
         print(text)
 
 
 def _load_inputs(args):
-    """Config, task, dataset, network shape and output path of a qut or fit run."""
-    cfg = load_run_config(args.config) if args.config else {}
-    task = _task_of(cfg, args)
-    data, response, out = _resolve_io(cfg, args)
-    dataset = load_csv(data, response, task)
-    shape = _shape_from_config(cfg, dataset.n_features, dataset.n_outputs, task)
-    return cfg, task, dataset, shape, out
+    """Run config, dataset and network shape of a qut or fit run."""
+    cfg = _run_config(args)
+    io = cfg.get("io", {})
+    if "task" not in cfg:
+        raise ConfigError("no task given (--task or config task)")
+    if "data" not in io:
+        raise ConfigError("no data file given (--data or io.data)")
+    if "response" not in io:
+        raise ConfigError("no response column given (--response or io.response)")
+    dataset = load_csv(io["data"], io["response"], cfg["task"])
+    shape = _shape_from_config(cfg, dataset.n_features, dataset.n_outputs, cfg["task"])
+    return cfg, dataset, shape
 
 
-def _threshold(dataset: Dataset, shape: NetworkShape, cfg: dict, args):
+def _threshold(dataset: Dataset, shape: NetworkShape, cfg: dict):
     _require_threshold_activations(shape)
-    return compute_qut(dataset, shape, _qut_config(cfg, args))
+    return compute_qut(dataset, shape, _section_config(QutConfig, "qut", cfg))
 
 
 def cmd_qut(args) -> int:
-    cfg, _, dataset, shape, out = _load_inputs(args)
-    _emit(_threshold(dataset, shape, cfg, args).to_dict(), out)
+    cfg, dataset, shape = _load_inputs(args)
+    _emit(_threshold(dataset, shape, cfg).to_dict(), cfg["io"].get("out"))
     return 0
 
 
 def cmd_fit(args) -> int:
     if args.lam is not None and not 0.0 <= args.lam < math.inf:
         raise ConfigError(f"--lambda must be a finite non-negative number, got {args.lam!r}")
-    cfg, task, dataset, shape, out = _load_inputs(args)
+    cfg, dataset, shape = _load_inputs(args)
     if args.lam is not None:
         lam = args.lam
         qut_info = None
     else:
-        qut = _threshold(dataset, shape, cfg, args)
+        qut = _threshold(dataset, shape, cfg)
         lam = qut.lambda_qut
         qut_info = {"lambda_qut": qut.lambda_qut, "alpha": qut.alpha,
                     "mc_samples": qut.mc_samples, "seed": qut.seed}
-    result = fit(shape, dataset, lam, _section_config(SolverConfig, "solver", cfg, args))
+    result = fit(shape, dataset, lam, _section_config(SolverConfig, "solver", cfg))
     payload = result.to_dict(shape)
-    payload["task"] = task
+    payload["task"] = cfg["task"]
     payload["qut"] = qut_info
     payload["feature_names"] = dataset.feature_names
     payload["class_labels"] = dataset.class_labels
     # 1-based indices with original header names for human consumption
     payload["support"] = [j + 1 for j in result.support]
     payload["support_features"] = [dataset.feature_names[j] for j in result.support]
-    _emit(payload, out)
+    _emit(payload, cfg["io"].get("out"))
     return 0
 
 
@@ -305,12 +310,19 @@ def _load_model(path):
         if not np.all(np.isfinite(theta.flat)):
             raise ValueError("parameters must be finite")
         for W in theta.deep:
-            normalize_rows(W)  # a zero deep row leaves the layer map undefined
+            # a zero deep row, or one whose norm overflows, leaves the layer map undefined
+            with np.errstate(over="ignore"):
+                _, norms = normalize_rows(W)
+            if not np.all(np.isfinite(norms)):
+                raise ValueError("a deep weight row's norm overflows")
         for key in ("feature_names", "class_labels"):
             names = saved.get(key)
             if names is not None and not (isinstance(names, list)
                                           and all(isinstance(f, str) for f in names)):
                 raise ValueError(f"{key} must be a list of strings, got {names!r}")
+        names = saved.get("feature_names")
+        if names is not None and len(names) != shape.n_inputs:
+            raise ValueError(f"{len(names)} feature names for {shape.n_inputs} inputs")
         labels = saved.get("class_labels")
         if labels and len(labels) != shape.n_outputs:
             raise ValueError(f"{len(labels)} class labels for {shape.n_outputs} outputs")
@@ -323,8 +335,8 @@ def _load_model(path):
 
 def cmd_predict(args) -> int:
     saved, shape, theta = _load_model(args.model)
-    X, used_names = _load_feature_csv(args.data, saved.get("feature_names"),
-                                      drop=args.response)
+    X, used_names = _features(args.data, *_read_csv(args.data), saved.get("feature_names"),
+                              drop=args.response)
     if X.shape[1] != shape.n_inputs:
         raise DataError(f"{args.data}: {X.shape[1]} feature columns, "
                         f"the model takes {shape.n_inputs}")
@@ -347,22 +359,8 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _load_feature_csv(path, feature_names, drop=None):
-    """Feature matrix from a CSV, selecting the model's columns by name."""
-    header, rows = _read_csv(path)
-    if feature_names:
-        missing = [f for f in feature_names if f not in header]
-        if missing:
-            raise DataError(f"{path}: missing feature columns {missing}")
-        idxs = [header.index(f) for f in feature_names]
-    else:
-        idxs = [i for i, h in enumerate(header) if h != drop]
-    return _numeric_columns(path, header, rows, idxs), [header[i] for i in idxs]
-
-
 def cmd_simulate(args) -> int:
-    cfg = load_run_config(args.config) if args.config else {}
-    seed = _seed_of(cfg, args)
+    cfg = _run_config(args)
     kind = args.sim_kind or "linear"
     if args.s_grid:
         try:
@@ -372,7 +370,7 @@ def cmd_simulate(args) -> int:
     else:
         s_values = (0,)
     reps = 100 if args.reps is None else args.reps
-    kw = {"s_values": s_values, "repetitions": reps, "seed": seed}
+    kw = {"s_values": s_values, "repetitions": reps, "seed": cfg["seed"]}
     if args.n is not None:
         kw["n"] = args.n
     if args.p1 is not None:
@@ -381,14 +379,17 @@ def cmd_simulate(args) -> int:
     shape = _shape_from_config(cfg, sim.p1, 1, "regression")
     _require_threshold_activations(shape)
 
-    report = run_sweep(sim, shape, _qut_config(cfg, args),
-                       _section_config(SolverConfig, "solver", cfg, args))
-    out = args.out or cfg.get("io", {}).get("out")
+    report = run_sweep(sim, shape, _section_config(QutConfig, "qut", cfg),
+                       _section_config(SolverConfig, "solver", cfg))
+    out = cfg.get("io", {}).get("out")
     if out:
         base = Path(out)
         json_path = base if base.suffix == ".json" else base.with_suffix(".json")
         _emit(report.to_dict(), json_path)
-        report.write_csv(json_path.with_suffix(".csv"))
+        try:
+            report.write_csv(json_path.with_suffix(".csv"))
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file: {exc}")
     else:
         _emit(report.to_dict(), None)
     return 0

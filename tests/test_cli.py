@@ -294,6 +294,13 @@ def _csv_with_header(tmp_path, header):
     return str(path)
 
 
+def _header_only_csv(tmp_path):
+    """CSV over x0..x3 with a header and no data rows."""
+    path = tmp_path / "empty.csv"
+    _write_csv(path, ["x0", "x1", "x2", "x3"], [])
+    return str(path)
+
+
 def _csv_with_huge_features(tmp_path):
     """30-row regression CSV whose features x0..x2 are normals times 1e154, 1e227
     and 1e300: the first warm-start step overflows."""
@@ -342,6 +349,10 @@ def _zero_a_deep_row(saved):
     saved["theta"]["deep"][0][0] = [0.0, 0.0, 0.0]
 
 
+def _scale_a_deep_row_by_1e308(saved):
+    saved["theta"]["deep"][0][0] = [w * 1e308 for w in saved["theta"]["deep"][0][0]]
+
+
 _RELU = {"shape": {"activation": {"M": "inf", "u0": 0.0}}}
 _REG = ["--response", "y", "--task", "regression", "--mc-samples", "100"]
 _ONE_LABEL = ["--response", "label", "--task", "classification", "--mc-samples", "100"]
@@ -381,6 +392,10 @@ CLI_EXIT_CASES = {
                                          *_REG]),
     "qut_repeated_header_name": (3, lambda t, d: [
         "qut", "--data", _csv_with_header(t, ["a", "y", "b", "y"]), *_REG]),
+    "qut_no_feature_columns": (3, lambda t, d: [
+        "qut", "--data", _csv_with_header(t, ["y"]), *_REG]),
+    "predict_no_data_rows": (3, lambda t, d: [
+        "predict", "--data", _header_only_csv(t), "--model", _model_file(t, lambda m: None)]),
     "activation_m_not_a_number": (2, lambda t, d: [
         "qut", "--data", d, *_REG,
         "--config", _config_file(t, {"shape": {"activation": {"M": "abc"}}})]),
@@ -400,13 +415,21 @@ CLI_EXIT_CASES = {
         _model_file(t, lambda m: m["theta"].update(W1=[r[:3] for r in m["theta"]["W1"]]))]),
     "predict_wrong_feature_count": (3, lambda t, d: [
         "predict", "--data", d, "--model", _model_file(t, lambda m: m.pop("feature_names"))]),
+    "predict_feature_names_wrong_length": (2, lambda t, d: [
+        "predict", "--data", d, "--model",
+        _model_file(t, lambda m: m.update(feature_names=["x0"]))]),
     "qut_negative_seed": (2, lambda t, d: ["qut", "--data", d, *_REG, "--seed", "-1"]),
     "qut_seed_not_a_number": (2, lambda t, d: [
-        "qut", "--data", d, *_REG, "--config", _config_file(t, {"qut": {"seed": "x"}})]),
+        "qut", "--data", d, *_REG, "--config", _config_file(t, {"seed": "x"})]),
     "qut_fractional_seed": (2, lambda t, d: [
-        "qut", "--data", d, *_REG, "--config", _config_file(t, {"qut": {"seed": 1.5}})]),
-    "fit_solver_seed_not_a_number": (2, lambda t, d: [
-        "fit", "--data", d, *_REG, "--config", _config_file(t, {"solver": {"seed": "x"}})]),
+        "qut", "--data", d, *_REG, "--config", _config_file(t, {"seed": 1.5})]),
+    "fit_seed_not_a_number": (2, lambda t, d: [
+        "fit", "--data", d, *_REG, "--config", _config_file(t, {"seed": "x"})]),
+    # the run's seed seeds both the threshold and the solver
+    "qut_removed_section_seed": (2, _configured("qut", "seed", 1, "qut")),
+    "simulate_removed_section_seed": (2, lambda t, d: [
+        "simulate", "--reps", "1", "--n", "20", "--p1", "4",
+        "--config", _config_file(t, {"solver": {"seed": 1}})]),
     "simulate_negative_seed": (2, lambda t, d: [
         "simulate", "--reps", "1", "--n", "20", "--p1", "4", "--seed", "-1"]),
     "fit_negative_lambda": (2, lambda t, d: ["fit", "--data", d, *_REG, "--lambda", "-1"]),
@@ -443,6 +466,8 @@ CLI_EXIT_CASES = {
         "predict", "--data", _csv_with_huge_x0(t), "--model", _model_file(t, lambda m: None)]),
     "predict_zero_deep_row": (2, lambda t, d: [
         "predict", "--data", d, "--model", _model_file(t, _zero_a_deep_row)]),
+    "predict_deep_row_norm_overflows": (2, lambda t, d: [
+        "predict", "--data", d, "--model", _model_file(t, _scale_a_deep_row_by_1e308)]),
     "simulate_zero_reps": (2, lambda t, d: _simulate(t, "--reps", "0")),
     "simulate_negative_reps": (2, lambda t, d: _simulate(t, "--reps", "-3")),
     "simulate_negative_sparsity": (2, lambda t, d: _simulate(t, "--reps", "1", "--s-grid", "-1")),
@@ -480,3 +505,47 @@ def test_cli_exit_paths(name, regression_csv, tmp_path, capsys):
     else:
         assert len(err.splitlines()) == 1 and err.endswith("\n")
         assert not out.exists()
+
+
+def _missing_dir(tmp_path):
+    return tmp_path / "no" / "such" / "out.json"
+
+
+def _csv_sibling_a_dir(tmp_path):
+    """A JSON output path that can be written, whose CSV sibling is a directory."""
+    (tmp_path / "sweep.csv").mkdir()
+    return tmp_path / "sweep.json"
+
+
+# name -> (builder(tmp_path, regression csv path) -> argv before --out, output path)
+UNWRITABLE_OUT_CASES = {
+    "qut": (lambda t, d: ["qut", "--data", d, *_REG], _missing_dir),
+    "predict": (lambda t, d: ["predict", "--data", d, "--model", _model_file(t, lambda m: None)],
+                _missing_dir),
+    "simulate_json": (lambda t, d: _simulate(t, "--reps", "1"), _missing_dir),
+    "simulate_csv": (lambda t, d: _simulate(t, "--reps", "1"), _csv_sibling_a_dir),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNWRITABLE_OUT_CASES))
+def test_unwritable_out_exits_2(name, regression_csv, tmp_path, capsys):
+    build, out_path = UNWRITABLE_OUT_CASES[name]
+    argv = [*build(tmp_path, str(regression_csv)), "--out", str(out_path(tmp_path))]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("config error: cannot write output file")
+
+
+def test_flags_override_the_config(regression_csv, tmp_path):
+    by_config, by_flags = tmp_path / "by_config.json", tmp_path / "by_flags.json"
+    cfg = _config_file(tmp_path, {
+        "task": "regression", "seed": 4, "qut": {"alpha": 0.1, "mc_samples": 200},
+        "io": {"data": str(regression_csv), "response": "y", "out": str(by_config)}})
+    assert main(["qut", "--config", cfg]) == 0
+    # a flag given as "" counts as not given
+    assert main(["qut", "--config", cfg, "--seed", "9", "--alpha", "0.2", "--mc-samples", "100",
+                 "--data", "", "--out", str(by_flags)]) == 0
+    for path, want in ((by_config, (0.1, 200, 4)), (by_flags, (0.2, 100, 9))):
+        got = json.loads(path.read_text())
+        assert (got["alpha"], got["mc_samples"], got["seed"]) == want
