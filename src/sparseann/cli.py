@@ -22,7 +22,7 @@ from .activations import ActivationSpec
 from .errors import (ConfigError, DataError, DegenerateParameterError, NumericalError,
                      SparseAnnError, check_int)
 from .network import Dataset, NetworkShape, Theta, forward, normalize_rows
-from .qut import QutConfig, _deriv0_product, compute_qut
+from .qut import QutConfig, _threshold_scale, compute_qut
 from .simulate import SimConfig, run_sweep
 from .solver import SolverConfig, fit
 
@@ -71,7 +71,8 @@ def load_run_config(path) -> dict:
 
 
 def _run_config(args) -> dict:
-    """The config file, if any, with the flags that were given laid over it."""
+    """The config file, if any, with the flags that were given laid over it;
+    the output file's directory is checked before any work starts."""
     cfg = load_run_config(args.config) if args.config else {}
     for key, section in _FLAG_SECTIONS.items():
         value = getattr(args, key, None)
@@ -79,7 +80,14 @@ def _run_config(args) -> dict:
             (cfg.setdefault(section, {}) if section else cfg)[key] = value
     cfg.setdefault("seed", 0)
     check_int(cfg["seed"], "seed", error=ConfigError)
+    _check_out_dir(cfg.get("io", {}).get("out"))
     return cfg
+
+
+def _check_out_dir(out):
+    """Fail before any work when the output file's directory does not exist."""
+    if out and not Path(out).parent.is_dir():
+        raise ConfigError(f"cannot write output file: no directory {str(Path(out).parent)!r}")
 
 
 def _read_csv(path):
@@ -89,9 +97,11 @@ def _read_csv(path):
             reader = csv.reader(fh)
             try:
                 header = next(reader)
+                rows = list(reader)
             except StopIteration:
                 raise DataError(f"{path}: empty file")
-            rows = list(reader)
+            except csv.Error as exc:  # e.g. a cell longer than the csv module's field limit
+                raise DataError(f"{path}: line {reader.line_num}: {exc}")
     except OSError as exc:
         raise DataError(f"cannot read data file: {exc}")
     if len(set(header)) != len(header):
@@ -218,7 +228,7 @@ def _shape_from_config(cfg: dict, p1: int, m: int, task: str) -> NetworkShape:
 def _require_threshold_activations(shape: NetworkShape):
     """Reject hidden activations the threshold formulas cannot use (the ReLU limit)."""
     try:
-        _deriv0_product(shape)
+        _threshold_scale(shape)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -334,6 +344,7 @@ def _load_model(path):
 
 
 def cmd_predict(args) -> int:
+    _check_out_dir(args.out)
     saved, shape, theta = _load_model(args.model)
     X, used_names = _features(args.data, *_read_csv(args.data), saved.get("feature_names"),
                               drop=args.response)

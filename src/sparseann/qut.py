@@ -58,29 +58,19 @@ class QutResult:
         }
 
 
-def _deriv0_product(shape: NetworkShape) -> float:
-    """Product of the hidden activation derivatives at zero."""
-    out = 1.0
+def _threshold_scale(shape: NetworkShape) -> float:
+    """Factor common to every lambda0 of one network shape: sqrt of the product
+    of the widths p3..pl (an empty product is 1) times the product of the
+    hidden activation derivatives at zero."""
+    deriv0 = 1.0
     for spec in shape.activations:
         if spec.is_relu_limit:
             raise ValueError(
                 "threshold formulas require a differentiable activation; "
                 "the ReLU limit is not allowed here"
             )
-        out *= float(act_deriv(spec, 0.0))
-    return out
-
-
-def _width_factor(shape: NetworkShape) -> float:
-    """sqrt of the product of the widths p3..pl (1 for a 2-layer network)."""
-    w = shape.widths
-    l = shape.n_layers
-    return float(np.sqrt(np.prod(w[2:l]))) if l >= 3 else 1.0
-
-
-def _threshold_scale(shape: NetworkShape) -> float:
-    """Factor common to every lambda0 of one network shape."""
-    return _width_factor(shape) * _deriv0_product(shape)
+        deriv0 *= float(act_deriv(spec, 0.0))
+    return float(np.sqrt(np.prod(shape.widths[2:shape.n_layers]))) * deriv0
 
 
 def _lambda0_block(X: np.ndarray, Y: np.ndarray, m: int, regression: bool) -> np.ndarray:
@@ -123,7 +113,7 @@ def lambda0_classification(Y: np.ndarray, X: np.ndarray, shape: NetworkShape) ->
 def sample_null_regression(n: int, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. standard normal responses (pivotality makes scale/shift moot)."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise DataError(f"the regression null needs at least 2 data rows, got {n}")
     return rng.standard_normal((n, 1))
 
 

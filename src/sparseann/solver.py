@@ -7,20 +7,18 @@ proximal gradient steps (ISTA): the penalized part theta1 takes
 exact zeros, and the free part theta2 takes a plain gradient step.  Deep
 weights below ``DEEP_FLUSH`` in magnitude are set to zero after every
 step, so the outgoing weights of dead hidden units never reach slow
-subnormal numbers.  The levels below the threshold take the fixed step
-``LR_DESCENT`` for at most ``descent_epochs`` steps (none in a cold start):
-they only steer the path, so they need not converge.  The last level, at
-the threshold itself, halves its step until the smooth part's quadratic
-upper bound holds (backtracking), tries twice the accepted step (at most 1)
-on the next iteration, and takes at most ``prox_max_iter`` steps; each trial
-goes into one buffer, which trades places with the iterate on acceptance.
-A fixed-step level stops once the prox-gradient mapping of its step,
-``max(|delta theta1|_inf / t, |g2|_inf)``, is at most ``STAGE_TOL * lambda``.
-The last level stops once the first-order optimality (KKT) residual at its
-new point, from the gradient its next step needs anyway, is at most
-``STAGE_TOL * lambda``: with a step that can double, the mapping of the
-accepted step no longer bounds that residual.  So each level's objective
-trace has a variable length.
+subnormal numbers.  Every level stops by one rule: once the first-order
+optimality (KKT) residual at its new point, from the gradient that its next
+step needs anyway, is at most ``STAGE_TOL * lambda`` of that level.  The
+gradient that ends one level starts the next.  The levels differ only in
+their step.  The six below the threshold take the fixed step
+``LR_DESCENT`` at most ``descent_epochs`` times each (none in a cold
+start): they only steer the path, so they need not converge.  The last
+level, at the threshold itself, halves its step until the smooth part's
+quadratic upper bound holds (backtracking), tries twice the accepted step
+(at most 1) on the next iteration, and takes at most ``prox_max_iter``
+steps; each trial goes into one buffer, which trades places with the
+iterate on acceptance.
 """
 
 from __future__ import annotations
@@ -43,8 +41,7 @@ from .network import (
 )
 from .objective import penalty_l1, soft_threshold
 
-# A fixed-step level ends once its prox-gradient mapping, and the last level
-# once its KKT residual, is at most STAGE_TOL * lambda.
+# A level ends once the KKT residual at its new point is at most STAGE_TOL * lambda.
 STAGE_TOL = 1e-3
 # Deep weights smaller than this are set to zero after every update.  The
 # outgoing weights of a hidden unit whose first-layer row is zero decay
@@ -77,10 +74,12 @@ class SolverConfig:
 class FitResult:
     """Fitted parameters, estimated support and per-stage objective traces.
 
-    ``objective_trace`` holds one list per level of ``stage_lambdas``, with
-    one objective per gradient evaluation, so its length varies with how
-    soon the level converged.  The last list, the backtracking level at the
-    threshold, ends with the objective at the returned point.
+    ``objective_trace`` holds one list per level of ``stage_lambdas``: the
+    objective, at that level's lambda, where each of its steps starts, so
+    its length varies with how soon the level converged.  The last list,
+    the backtracking level at the threshold, ends with the objective at the
+    returned point, so the lists hold one objective per gradient evaluation.
+    Model files (``to_dict``) leave the traces out.
 
     ``support`` holds 0-based input-column indices whose first-layer weight
     column is not identically zero (the epsilon = 0 rule).
@@ -99,7 +98,6 @@ class FitResult:
             "support": list(self.support),
             "lambda_used": self.lambda_used,
             "stage_lambdas": list(self.stage_lambdas),
-            "objective_trace": [list(t) for t in self.objective_trace],
         }
 
 
@@ -154,17 +152,12 @@ def _flush_deep(theta: Theta):
         W[np.abs(W) < DEEP_FLUSH] = 0.0
 
 
-def _ista_step(theta: Theta, grad: Theta, step: float, lam: float, out: Theta) -> float:
-    """Write the ISTA step ``prox(theta - step * grad)`` into ``out``, flush its
-    deep weights, and return the step's prox-gradient mapping
-    ``max(|delta theta1|_inf / step, |g2|_inf)``.  ``out`` may be ``theta``."""
-    theta1 = soft_threshold(theta.theta1 - step * grad.theta1, step * lam)
-    mapping = max(np.max(np.abs(theta1 - theta.theta1)) / step,
-                  np.max(np.abs(grad.theta2)))
-    out.theta1[...] = theta1
+def _ista_step(theta: Theta, grad: Theta, step: float, lam: float, out: Theta):
+    """Write the ISTA step ``prox(theta - step * grad)`` into ``out`` and flush
+    its deep weights.  ``out`` may be ``theta``."""
+    out.theta1[...] = soft_threshold(theta.theta1 - step * grad.theta1, step * lam)
     np.subtract(theta.theta2, step * grad.theta2, out=out.theta2)
     _flush_deep(out)
-    return mapping
 
 
 def _kkt_residual(theta: Theta, grad: Theta, lam: float) -> float:
@@ -175,6 +168,21 @@ def _kkt_residual(theta: Theta, grad: Theta, lam: float) -> float:
     penalized = np.where(w != 0.0, np.abs(g + lam * np.sign(w)),
                          np.maximum(np.abs(g) - lam, 0.0))
     return max(penalized.max(initial=0.0), np.abs(grad.theta2).max(initial=0.0))
+
+
+def _level_done(theta: Theta, grad: Theta, lam: float) -> bool:
+    """``_kkt_residual(theta, grad, lam) <= STAGE_TOL * lam``.  The few free
+    entries are tested first, so the full residual runs only once they pass."""
+    tol = STAGE_TOL * lam
+    return np.abs(grad.theta2).max(initial=0.0) <= tol and _kkt_residual(theta, grad, lam) <= tol
+
+
+def _objective(loss: float, lam: float, theta: Theta) -> float:
+    """The penalized objective at ``theta``; a non-finite one means divergence."""
+    obj = loss + lam * penalty_l1(theta)
+    if not np.isfinite(obj):
+        raise FloatingPointError("the objective is not finite")
+    return obj
 
 
 # An overflow or an invalid operation means the iterates blew up: stop at the
@@ -195,50 +203,36 @@ def fit(
     theta = init_theta(shape, config, rng, dataset)
     loss_kind = dataset.loss_kind
     lambdas = lambda_schedule(lambda_qut)
+    last = len(lambdas) - 1
     traces = []
     grad = Theta.zeros(shape)  # every gradient evaluation of the fit writes here
-
-    for stage, lam in enumerate(lambdas[:-1]):
-        trace = []
-        try:
-            for _ in range(config.descent_epochs):
-                loss, grad = loss_and_grad(shape, theta, dataset, loss_kind, out=grad)
-                obj = loss + lam * penalty_l1(theta)
-                if not np.isfinite(obj):
-                    raise NumericalError(f"objective diverged in descent stage {stage}")
-                trace.append(obj)
-                if _ista_step(theta, grad, LR_DESCENT, lam, out=theta) <= STAGE_TOL * lam:
-                    break
-        except (ValueError, FloatingPointError):
-            # non-finite intermediates mean the iterates blew up
-            raise NumericalError(f"objective diverged in descent stage {stage}") from None
-        traces.append(trace)
-
-    lam = lambdas[-1]
     trial = Theta.zeros(shape)  # every trial step of the last level writes here
-    trace = []
-    step = 1.0
+    step = 0.5  # the last level's step: its first trial doubles it to 1
+    stage = 0 if config.descent_epochs else last
     try:
         loss, grad = loss_and_grad(shape, theta, dataset, loss_kind, out=grad)
-        obj = loss + lam * penalty_l1(theta)
-        for _ in range(config.prox_max_iter):
-            trace.append(obj)
-            step, new_pass = _backtrack(shape, theta, dataset, loss_kind, loss, grad, lam,
-                                        step, trial)
-            if new_pass is None:
-                break  # stuck
-            theta, trial = trial, theta
-            loss, grad = loss_and_grad(shape, theta, dataset, loss_kind, new_pass, out=grad)
-            obj = loss + lam * penalty_l1(theta)
-            if not np.isfinite(obj):
-                raise NumericalError("objective diverged in the proximal stage")
-            if _kkt_residual(theta, grad, lam) <= STAGE_TOL * lam:
-                break
-            step = min(2.0 * step, 1.0)  # the next trial may double back
-    except FloatingPointError:
-        raise NumericalError("objective diverged in the proximal stage") from None
-    trace.append(obj)
-    traces.append(trace)
+        for stage, lam in enumerate(lambdas):
+            trace, new_pass = [], None
+            traces.append(trace)
+            for _ in range(config.prox_max_iter if stage == last else config.descent_epochs):
+                trace.append(_objective(loss, lam, theta))
+                if stage < last:
+                    _ista_step(theta, grad, LR_DESCENT, lam, out=theta)
+                else:
+                    # each trial starts from twice the last accepted step, at most 1
+                    step, new_pass = _backtrack(shape, theta, dataset, loss_kind, loss, grad,
+                                                lam, min(2.0 * step, 1.0), trial)
+                    if new_pass is None:
+                        break  # stuck
+                    theta, trial = trial, theta
+                loss, grad = loss_and_grad(shape, theta, dataset, loss_kind, new_pass, out=grad)
+                if _level_done(theta, grad, lam):
+                    break
+        trace.append(_objective(loss, lam, theta))
+    except (ValueError, FloatingPointError):
+        # non-finite intermediates mean the iterates blew up
+        where = "the proximal stage" if stage == last else f"descent stage {stage}"
+        raise NumericalError(f"objective diverged in {where}") from None
 
     return FitResult(
         theta=theta,

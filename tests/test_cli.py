@@ -15,6 +15,7 @@ from sparseann import (
     forward,
     init_theta,
 )
+from sparseann import cli
 from sparseann.cli import load_csv, main
 
 
@@ -287,10 +288,18 @@ def _csv_with_cell(tmp_path, value, column):
     return str(path)
 
 
-def _csv_with_header(tmp_path, header):
-    """Small CSV of random numbers under ``header``."""
+def _csv_with_header(tmp_path, header, rows=10):
+    """Small CSV of ``rows`` rows of random numbers under ``header``."""
     path = tmp_path / "header.csv"
-    _write_csv(path, header, np.random.default_rng(0).standard_normal((10, len(header))).tolist())
+    _write_csv(path, header,
+               np.random.default_rng(0).standard_normal((rows, len(header))).tolist())
+    return str(path)
+
+
+def _csv_with_long_cell(tmp_path):
+    """Regression CSV whose one x cell is longer than the csv module's field limit."""
+    path = tmp_path / "long.csv"
+    path.write_text("x,y\n1.0,2.0\n" + "1" * (csv.field_size_limit() + 1) + ",3.0\n")
     return str(path)
 
 
@@ -394,6 +403,12 @@ CLI_EXIT_CASES = {
         "qut", "--data", _csv_with_header(t, ["a", "y", "b", "y"]), *_REG]),
     "qut_no_feature_columns": (3, lambda t, d: [
         "qut", "--data", _csv_with_header(t, ["y"]), *_REG]),
+    "qut_one_data_row": (3, lambda t, d: [
+        "qut", "--data", _csv_with_header(t, ["x0", "x1", "y"], rows=1), *_REG]),
+    "fit_one_data_row": (3, lambda t, d: [
+        "fit", "--data", _csv_with_header(t, ["x0", "x1", "y"], rows=1), *_REG]),
+    "qut_cell_beyond_the_field_limit": (3, lambda t, d: [
+        "qut", "--data", _csv_with_long_cell(t), *_REG]),
     "predict_no_data_rows": (3, lambda t, d: [
         "predict", "--data", _header_only_csv(t), "--model", _model_file(t, lambda m: None)]),
     "activation_m_not_a_number": (2, lambda t, d: [
@@ -464,6 +479,10 @@ CLI_EXIT_CASES = {
         "predict", "--data", _csv_with_huge_x0(t), "--model", _model_file(t, _weigh_x0_by_3)]),
     "predict_huge_finite_cell": (0, lambda t, d: [
         "predict", "--data", _csv_with_huge_x0(t), "--model", _model_file(t, lambda m: None)]),
+    # model files no longer carry the objective traces, and older ones still load
+    "predict_model_with_objective_trace": (0, lambda t, d: [
+        "predict", "--data", d, "--model",
+        _model_file(t, lambda m: m.update(objective_trace=[[2.0, 1.5], [1.5, 1.25]]))]),
     "predict_zero_deep_row": (2, lambda t, d: [
         "predict", "--data", d, "--model", _model_file(t, _zero_a_deep_row)]),
     "predict_deep_row_norm_overflows": (2, lambda t, d: [
@@ -520,6 +539,7 @@ def _csv_sibling_a_dir(tmp_path):
 # name -> (builder(tmp_path, regression csv path) -> argv before --out, output path)
 UNWRITABLE_OUT_CASES = {
     "qut": (lambda t, d: ["qut", "--data", d, *_REG], _missing_dir),
+    "fit": (lambda t, d: ["fit", "--data", d, *_REG], _missing_dir),
     "predict": (lambda t, d: ["predict", "--data", d, "--model", _model_file(t, lambda m: None)],
                 _missing_dir),
     "simulate_json": (lambda t, d: _simulate(t, "--reps", "1"), _missing_dir),
@@ -527,9 +547,16 @@ UNWRITABLE_OUT_CASES = {
 }
 
 
+def _not_before_the_output_check(*args, **kwargs):
+    raise AssertionError("an output file in a missing directory is refused before any work")
+
+
 @pytest.mark.parametrize("name", sorted(UNWRITABLE_OUT_CASES))
-def test_unwritable_out_exits_2(name, regression_csv, tmp_path, capsys):
+def test_unwritable_out_exits_2(name, regression_csv, tmp_path, capsys, monkeypatch):
     build, out_path = UNWRITABLE_OUT_CASES[name]
+    if out_path is _missing_dir:
+        for work in ("_read_csv", "compute_qut", "run_sweep"):
+            monkeypatch.setattr(cli, work, _not_before_the_output_check)
     argv = [*build(tmp_path, str(regression_csv)), "--out", str(out_path(tmp_path))]
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -8,6 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from fd_utils import random_instance
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from theory import lambda0, objective_value
 
 from sparseann import (
@@ -199,6 +201,24 @@ def test_fits_stopped_by_the_rule_meet_the_kkt_certificate():
     assert stopped >= 9  # of 18
 
 
+_STOP_SHAPE = NetworkShape.make((2, 1, 1))  # 3 penalized and 2 free entries
+_STOP_ENTRIES = st.lists(st.floats(-2.0, 2.0), min_size=5, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lam=st.floats(0.0, 1e3),
+       w=st.lists(st.sampled_from([0.0, 0.0, 0.7, -1.5]), min_size=5, max_size=5),
+       near=st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=5, max_size=5),
+       off=_STOP_ENTRIES)
+def test_level_stop_test_is_the_kkt_rule(lam, w, near, off):
+    # gradient entries near -lam, 0 and lam, off by up to twice the tolerance, so
+    # that each entry's residual falls on either side of it
+    theta = Theta.from_flat(_STOP_SHAPE, np.array(w))
+    grad = Theta.from_flat(_STOP_SHAPE, lam * (np.array(near) + solver.STAGE_TOL * np.array(off)))
+    rule = solver._kkt_residual(theta, grad, lam) <= solver.STAGE_TOL * lam
+    assert solver._level_done(theta, grad, lam) == rule
+
+
 def test_estimated_support_column_rule():
     shape = NetworkShape.make((4, 2, 1), "identity")
     from sparseann import Theta
@@ -269,7 +289,7 @@ def test_reusing_the_accepted_trial_forward_pass_changes_no_bit(monkeypatch):
 
     monkeypatch.setattr(solver, "loss_and_grad", recomputing)
     again = fit(shape, dataset, lam, FAST)
-    # only the descent stages and the last level's first gradient run their own forward pass
+    # only the fit's first gradient and the fixed-step levels' gradients run their own forward pass
     assert handed.count(False) == sum(map(len, again.objective_trace[:-1])) + 1
     assert any(handed)
     assert np.array_equal(again.theta.flat, reused.theta.flat)
