@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from .activations import ActivationSpec
 from .errors import (ConfigError, DataError, DegenerateParameterError, NumericalError,
                      SparseAnnError, check_int)
 from .network import Dataset, NetworkShape, Theta, forward, normalize_rows
-from .qut import QutConfig, _threshold_scale, compute_qut
+from .qut import QutConfig, compute_qut
 from .simulate import SimConfig, run_sweep
 from .solver import SolverConfig, fit
 
@@ -62,6 +62,11 @@ def load_run_config(path) -> dict:
             if not isinstance(cfg[key], dict):
                 raise ConfigError(f"config section {key!r} must be an object")
             _reject_unknown(cfg[key], allowed, f"config.{key}")
+    activations = cfg.get("shape", {}).get("activation")
+    for act in activations if isinstance(activations, list) else [activations]:
+        if isinstance(act, dict):
+            _reject_unknown(act, {f.name for f in fields(ActivationSpec)},
+                            "config.shape.activation")
     if "task" in cfg and cfg["task"] not in ("regression", "classification"):
         raise ConfigError(f"unknown task {cfg['task']!r}")
     for key, value in cfg.get("io", {}).items():
@@ -70,9 +75,9 @@ def load_run_config(path) -> dict:
     return cfg
 
 
-def _run_config(args) -> dict:
-    """The config file, if any, with the flags that were given laid over it;
-    the output file's directory is checked before any work starts."""
+def _run_config(args, *suffixes):
+    """The config file, if any, with the flags that were given laid over it, and
+    the files the run writes (``_outputs`` of ``io.out`` and ``suffixes``)."""
     cfg = load_run_config(args.config) if args.config else {}
     for key, section in _FLAG_SECTIONS.items():
         value = getattr(args, key, None)
@@ -80,14 +85,24 @@ def _run_config(args) -> dict:
             (cfg.setdefault(section, {}) if section else cfg)[key] = value
     cfg.setdefault("seed", 0)
     check_int(cfg["seed"], "seed", error=ConfigError)
-    _check_out_dir(cfg.get("io", {}).get("out"))
-    return cfg
+    return cfg, _outputs(cfg.get("io", {}).get("out"), *suffixes)
 
 
-def _check_out_dir(out):
-    """Fail before any work when the output file's directory does not exist."""
-    if out and not Path(out).parent.is_dir():
-        raise ConfigError(f"cannot write output file: no directory {str(Path(out).parent)!r}")
+def _outputs(out, *suffixes) -> list:
+    """The files a command writes, ``out`` or ``out`` with each of ``suffixes``, or none
+    (standard output); refused if one's directory is missing or it is a directory."""
+    if not out:
+        return []
+    try:
+        paths = [Path(out).with_suffix(s) for s in suffixes] or [Path(out)]
+    except ValueError:  # "/" has no name to take a suffix
+        raise ConfigError(f"cannot write output file: {out!r} names no file") from None
+    for path in paths:
+        if not path.parent.is_dir():
+            raise ConfigError(f"cannot write output file: no directory {str(path.parent)!r}")
+        if path.is_dir():
+            raise ConfigError(f"cannot write output file: {str(path)!r} is a directory")
+    return paths
 
 
 def _read_csv(path):
@@ -181,17 +196,13 @@ def load_csv(path, response: str, task: str) -> Dataset:
         return Dataset(X=X, Y=Y, task="regression", feature_names=feature_names)
 
     y_raw = [row[y_idx].strip() for row in rows]
-    labels = []
-    for v in y_raw:
-        if v == "":
-            raise DataError(f"missing label in column {response!r}")
-        if v not in labels:
-            labels.append(v)
-    Y = np.zeros((len(rows), len(labels)))
-    for r, v in enumerate(y_raw):
-        Y[r, labels.index(v)] = 1.0
+    if "" in y_raw:
+        raise DataError(f"missing label in column {response!r}")
+    column = {v: j for j, v in enumerate(dict.fromkeys(y_raw))}  # first-appearance order
+    Y = np.zeros((len(rows), len(column)))
+    Y[np.arange(len(rows)), [column[v] for v in y_raw]] = 1.0
     return Dataset(X=X, Y=Y, task="classification",
-                   feature_names=feature_names, class_labels=labels)
+                   feature_names=feature_names, class_labels=list(column))
 
 
 # The links each task's loss is defined on, default first: the square-root
@@ -200,6 +211,8 @@ _TASK_LINKS = {"regression": ("identity",), "classification": ("softmax", "logit
 
 
 def _shape_from_config(cfg: dict, p1: int, m: int, task: str) -> NetworkShape:
+    """The network shape of a ``qut``, ``fit`` or ``simulate`` run.  Both the threshold
+    and the solver differentiate the activation, so the ReLU limit is refused."""
     shape_cfg = cfg.get("shape", {})
     link = shape_cfg.get("link")
     if link is None:
@@ -211,26 +224,20 @@ def _shape_from_config(cfg: dict, p1: int, m: int, task: str) -> NetworkShape:
         hidden = shape_cfg.get("hidden", [20])
         if not isinstance(hidden, list) or not hidden:
             raise ConfigError("shape.hidden must be a nonempty list of positive widths")
-        act_cfg = shape_cfg.get("activation")
-        if act_cfg is None:
-            activation = ActivationSpec()
-        elif isinstance(act_cfg, list):
-            activation = tuple(ActivationSpec.from_dict(a) for a in act_cfg)
-        else:
-            activation = ActivationSpec.from_dict(act_cfg)
-        return NetworkShape.make((p1, *hidden, m), link, activation)
+        activation = shape_cfg.get("activation")  # None: make's default
+        if isinstance(activation, list):
+            activation = tuple(ActivationSpec.from_dict(a) for a in activation)
+        elif activation is not None:
+            activation = ActivationSpec.from_dict(activation)
+        shape = NetworkShape.make((p1, *hidden, m), link, activation)
     except KeyError as exc:
         raise ConfigError(f"shape.activation needs the key {exc}")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid shape config: {exc}")
-
-
-def _require_threshold_activations(shape: NetworkShape):
-    """Reject hidden activations the threshold formulas cannot use (the ReLU limit)."""
-    try:
-        _threshold_scale(shape)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    if any(spec.is_relu_limit for spec in shape.activations):
+        raise ConfigError("the ReLU limit (M = inf) is for forward passes only: the threshold "
+                          "and the solver need a differentiable activation")
+    return shape
 
 
 def _section_config(cls, section: str, cfg: dict):
@@ -241,23 +248,26 @@ def _section_config(cls, section: str, cfg: dict):
         raise ConfigError(f"invalid {section} config: {exc}")
 
 
-def _emit(payload: dict, out):
+def _emit(paths: list, payload: dict, *texts: str):
+    """Write ``payload`` as JSON, then each of ``texts``, to ``paths`` in turn; with
+    no paths, print the JSON alone.  Nothing is written if the JSON is not finite."""
     try:
-        text = json.dumps(payload, indent=2, allow_nan=False)
+        texts = (json.dumps(payload, indent=2, allow_nan=False) + "\n", *texts)
     except ValueError:
         raise NumericalError("the result holds a non-finite number; nothing written")
-    if out:
-        try:
-            Path(out).write_text(text + "\n")
-        except OSError as exc:
-            raise ConfigError(f"cannot write output file: {exc}")
-    else:
-        print(text)
+    if not paths:
+        print(texts[0], end="")
+    try:
+        for path, text in zip(paths, texts):
+            path.write_text(text, newline="")  # as given: the CSV's own CRLF line ends
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file: {exc}")
 
 
 def _load_inputs(args):
-    """Run config, dataset and network shape of a qut or fit run."""
-    cfg = _run_config(args)
+    """Output files, dataset, network shape, and threshold and solver configs of a
+    ``qut`` or ``fit`` run.  Every setting is checked before the data is read."""
+    cfg, outs = _run_config(args)
     io = cfg.get("io", {})
     if "task" not in cfg:
         raise ConfigError("no task given (--task or config task)")
@@ -265,44 +275,40 @@ def _load_inputs(args):
         raise ConfigError("no data file given (--data or io.data)")
     if "response" not in io:
         raise ConfigError("no response column given (--response or io.response)")
+    shape = _shape_from_config(cfg, 1, 1, cfg["task"])  # the data give p1 and m
+    qut_config = _section_config(QutConfig, "qut", cfg)
+    solver_config = _section_config(SolverConfig, "solver", cfg)
     dataset = load_csv(io["data"], io["response"], cfg["task"])
-    shape = _shape_from_config(cfg, dataset.n_features, dataset.n_outputs, cfg["task"])
-    return cfg, dataset, shape
-
-
-def _threshold(dataset: Dataset, shape: NetworkShape, cfg: dict):
-    _require_threshold_activations(shape)
-    return compute_qut(dataset, shape, _section_config(QutConfig, "qut", cfg))
+    shape = replace(shape, widths=(dataset.n_features, *shape.widths[1:-1], dataset.n_outputs))
+    return outs, dataset, shape, qut_config, solver_config
 
 
 def cmd_qut(args) -> int:
-    cfg, dataset, shape = _load_inputs(args)
-    _emit(_threshold(dataset, shape, cfg).to_dict(), cfg["io"].get("out"))
+    outs, dataset, shape, qut_config, _ = _load_inputs(args)
+    _emit(outs, compute_qut(dataset, shape, qut_config).to_dict())
     return 0
 
 
 def cmd_fit(args) -> int:
     if args.lam is not None and not 0.0 <= args.lam < math.inf:
         raise ConfigError(f"--lambda must be a finite non-negative number, got {args.lam!r}")
-    cfg, dataset, shape = _load_inputs(args)
-    if args.lam is not None:
-        lam = args.lam
-        qut_info = None
-    else:
-        qut = _threshold(dataset, shape, cfg)
+    outs, dataset, shape, qut_config, solver_config = _load_inputs(args)
+    lam, qut_info = args.lam, None
+    if lam is None:
+        qut = compute_qut(dataset, shape, qut_config)
         lam = qut.lambda_qut
         qut_info = {"lambda_qut": qut.lambda_qut, "alpha": qut.alpha,
                     "mc_samples": qut.mc_samples, "seed": qut.seed}
-    result = fit(shape, dataset, lam, _section_config(SolverConfig, "solver", cfg))
+    result = fit(shape, dataset, lam, solver_config)
     payload = result.to_dict(shape)
-    payload["task"] = cfg["task"]
+    payload["task"] = dataset.task
     payload["qut"] = qut_info
     payload["feature_names"] = dataset.feature_names
     payload["class_labels"] = dataset.class_labels
     # 1-based indices with original header names for human consumption
     payload["support"] = [j + 1 for j in result.support]
     payload["support_features"] = [dataset.feature_names[j] for j in result.support]
-    _emit(payload, cfg["io"].get("out"))
+    _emit(outs, payload)
     return 0
 
 
@@ -344,7 +350,7 @@ def _load_model(path):
 
 
 def cmd_predict(args) -> int:
-    _check_out_dir(args.out)
+    outs = _outputs(args.out)
     saved, shape, theta = _load_model(args.model)
     X, used_names = _features(args.data, *_read_csv(args.data), saved.get("feature_names"),
                               drop=args.response)
@@ -366,43 +372,25 @@ def cmd_predict(args) -> int:
         payload["class_index"] = [int(i) for i in idx]
         if labels:
             payload["class_label"] = [labels[i] for i in idx]
-    _emit(payload, args.out)
+    _emit(outs, payload)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    cfg = _run_config(args)
-    kind = args.sim_kind or "linear"
+    cfg, outs = _run_config(args, ".json", ".csv")
+    given = {key: getattr(args, key) for key in ("n", "p1", "repetitions")
+             if getattr(args, key) is not None}
     if args.s_grid:
         try:
-            s_values = tuple(int(s) for s in args.s_grid.split(","))
+            given["s_values"] = tuple(int(s) for s in args.s_grid.split(","))
         except ValueError:
             raise ConfigError(f"bad --s-grid {args.s_grid!r}")
-    else:
-        s_values = (0,)
-    reps = 100 if args.reps is None else args.reps
-    kw = {"s_values": s_values, "repetitions": reps, "seed": cfg["seed"]}
-    if args.n is not None:
-        kw["n"] = args.n
-    if args.p1 is not None:
-        kw["p1"] = args.p1
-    sim = SimConfig.linear(**kw) if kind == "linear" else SimConfig.absdiff(**kw)
+    make = SimConfig.linear if args.sim_kind == "linear" else SimConfig.absdiff
+    sim = make(seed=cfg["seed"], **given)
     shape = _shape_from_config(cfg, sim.p1, 1, "regression")
-    _require_threshold_activations(shape)
-
     report = run_sweep(sim, shape, _section_config(QutConfig, "qut", cfg),
                        _section_config(SolverConfig, "solver", cfg))
-    out = cfg.get("io", {}).get("out")
-    if out:
-        base = Path(out)
-        json_path = base if base.suffix == ".json" else base.with_suffix(".json")
-        _emit(report.to_dict(), json_path)
-        try:
-            report.write_csv(json_path.with_suffix(".csv"))
-        except OSError as exc:
-            raise ConfigError(f"cannot write output file: {exc}")
-    else:
-        _emit(report.to_dict(), None)
+    _emit(outs, report.to_dict(), report.csv_text())
     return 0
 
 
@@ -446,9 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a support-recovery sweep")
     common(p_sim, with_data=False)
-    p_sim.add_argument("--sim-kind", choices=("linear", "absdiff"), default=None)
+    p_sim.add_argument("--sim-kind", choices=("linear", "absdiff"), default="linear")
     p_sim.add_argument("--s-grid", default=None, help="comma-separated sparsities")
-    p_sim.add_argument("--reps", type=int, default=None)
+    p_sim.add_argument("--reps", dest="repetitions", type=int, default=None)
     p_sim.add_argument("--n", type=int, default=None)
     p_sim.add_argument("--p1", type=int, default=None)
     p_sim.set_defaults(func=cmd_simulate)
@@ -466,7 +454,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (NumericalError, SparseAnnError) as exc:
+    except SparseAnnError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -143,24 +144,26 @@ class SimReport:
         return {"config": asdict(self.config), "rows": self.rows,
                 "aggregates": self.aggregates()}
 
-    def write_csv(self, path):
+    def csv_text(self) -> str:
+        """The rows as CSV text under a header line, with CRLF line ends."""
         cols = ["s", "rep", "failed", "exact", "tpr", "fdr", "pe", "lambda_qut",
                 "support_true", "support_est"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(cols)
-            for r in self.rows:
-                writer.writerow(
-                    [
-                        r["s"], r["rep"], int(r["failed"]), int(r["exact"]),
-                        "" if r["tpr"] is None else r["tpr"],
-                        r["fdr"],
-                        "" if r["pe"] is None else r["pe"],
-                        r["lambda_qut"],
-                        " ".join(str(j) for j in r["support_true"]),
-                        " ".join(str(j) for j in r["support_est"]),
-                    ]
-                )
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(cols)
+        for r in self.rows:
+            writer.writerow(
+                [
+                    r["s"], r["rep"], int(r["failed"]), int(r["exact"]),
+                    "" if r["tpr"] is None else r["tpr"],
+                    r["fdr"],
+                    "" if r["pe"] is None else r["pe"],
+                    r["lambda_qut"],
+                    " ".join(str(j) for j in r["support_true"]),
+                    " ".join(str(j) for j in r["support_est"]),
+                ]
+            )
+        return buf.getvalue()
 
 
 def run_sweep(

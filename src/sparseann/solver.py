@@ -78,7 +78,8 @@ class FitResult:
     objective, at that level's lambda, where each of its steps starts, so
     its length varies with how soon the level converged.  The last list,
     the backtracking level at the threshold, ends with the objective at the
-    returned point, so the lists hold one objective per gradient evaluation.
+    returned point, so the lists hold one objective per gradient evaluation;
+    a last-level step whose backtracking gets stuck is not taken and adds none.
     Model files (``to_dict``) leave the traces out.
 
     ``support`` holds 0-based input-column indices whose first-layer weight
@@ -215,7 +216,7 @@ def fit(
             trace, new_pass = [], None
             traces.append(trace)
             for _ in range(config.prox_max_iter if stage == last else config.descent_epochs):
-                trace.append(_objective(loss, lam, theta))
+                objective = _objective(loss, lam, theta)  # before a fixed step moves theta
                 if stage < last:
                     _ista_step(theta, grad, LR_DESCENT, lam, out=theta)
                 else:
@@ -225,6 +226,7 @@ def fit(
                     if new_pass is None:
                         break  # stuck
                     theta, trial = trial, theta
+                trace.append(objective)
                 loss, grad = loss_and_grad(shape, theta, dataset, loss_kind, new_pass, out=grad)
                 if _level_done(theta, grad, lam):
                     break
@@ -256,7 +258,7 @@ def _backtrack(shape, theta, dataset, loss_kind, loss, grad, lam, step, trial):
         try:
             new_pass = forward(shape, trial, dataset.X, return_cache=True)
             new_loss = loss_value(loss_kind, dataset.Y, new_pass[0])
-        except (NumericalError, DegenerateParameterError, ValueError, FloatingPointError):
+        except (DegenerateParameterError, ValueError, FloatingPointError):
             new_pass, new_loss = None, np.inf
         delta = trial.flat - theta.flat
         inner = float(np.sum(grad.flat * delta))

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -420,6 +421,9 @@ CLI_EXIT_CASES = {
         "qut", "--data", d, *_REG, "--config", _config_file(t, _RELU)]),
     "fit_relu_limit": (2, lambda t, d: [
         "fit", "--data", d, *_REG, "--config", _config_file(t, _RELU)]),
+    # the solver differentiates the activation too
+    "fit_relu_limit_with_lambda": (2, lambda t, d: [
+        "fit", "--data", d, *_REG, "--lambda", "1", "--config", _config_file(t, _RELU)]),
     "simulate_relu_limit": (2, lambda t, d: [
         "simulate", "--reps", "1", "--n", "20", "--p1", "4",
         "--config", _config_file(t, _RELU)]),
@@ -455,6 +459,12 @@ CLI_EXIT_CASES = {
     "qut_infinite_u0": (2, lambda t, d: [
         "qut", "--data", d, *_REG,
         "--config", _config_file(t, {"shape": {"activation": {"M": 20, "u0": "inf"}}})]),
+    "qut_unknown_activation_key": (2, lambda t, d: [
+        "qut", "--data", d, *_REG,
+        "--config", _config_file(t, {"shape": {"activation": {"M": 20, "U0": 0.0}}})]),
+    "fit_unknown_key_in_an_activation_list": (2, lambda t, d: [
+        "fit", "--data", d, *_REG, "--lambda", "1",
+        "--config", _config_file(t, {"shape": {"activation": [{"M": 20, "U0": 0.0}]}})]),
     "qut_fractional_mc_samples": (2, _configured("qut", "mc_samples", 150.5, "qut")),
     "qut_nan_mc_samples": (2, _configured("qut", "mc_samples", float("nan"), "qut")),
     "fit_fractional_descent_epochs": (2, _configured("solver", "descent_epochs", 10.5)),
@@ -530,38 +540,67 @@ def _missing_dir(tmp_path):
     return tmp_path / "no" / "such" / "out.json"
 
 
+def _a_dir(tmp_path):
+    (tmp_path / "out.json").mkdir()
+    return tmp_path / "out.json"
+
+
 def _csv_sibling_a_dir(tmp_path):
     """A JSON output path that can be written, whose CSV sibling is a directory."""
     (tmp_path / "sweep.csv").mkdir()
     return tmp_path / "sweep.json"
 
 
+def _root(tmp_path):
+    """A directory whose name is empty, so it takes no suffix."""
+    return Path("/")
+
+
+_COMMANDS = {
+    "qut": lambda t, d: ["qut", "--data", d, *_REG],
+    "fit": lambda t, d: ["fit", "--data", d, *_REG],
+    "predict": lambda t, d: ["predict", "--data", d, "--model", _model_file(t, lambda m: None)],
+    "simulate": lambda t, d: _simulate(t, "--reps", "1"),
+}
 # name -> (builder(tmp_path, regression csv path) -> argv before --out, output path)
 UNWRITABLE_OUT_CASES = {
-    "qut": (lambda t, d: ["qut", "--data", d, *_REG], _missing_dir),
-    "fit": (lambda t, d: ["fit", "--data", d, *_REG], _missing_dir),
-    "predict": (lambda t, d: ["predict", "--data", d, "--model", _model_file(t, lambda m: None)],
-                _missing_dir),
-    "simulate_json": (lambda t, d: _simulate(t, "--reps", "1"), _missing_dir),
-    "simulate_csv": (lambda t, d: _simulate(t, "--reps", "1"), _csv_sibling_a_dir),
+    "qut": (_COMMANDS["qut"], _missing_dir),
+    "fit": (_COMMANDS["fit"], _missing_dir),
+    "predict": (_COMMANDS["predict"], _missing_dir),
+    "simulate_json": (_COMMANDS["simulate"], _missing_dir),
+    "simulate_csv": (_COMMANDS["simulate"], _csv_sibling_a_dir),
+    **{f"{command}_a_dir": (build, _a_dir) for command, build in _COMMANDS.items()},
+    "simulate_root": (_COMMANDS["simulate"], _root),
 }
 
 
-def _not_before_the_output_check(*args, **kwargs):
-    raise AssertionError("an output file in a missing directory is refused before any work")
+def _not_before_the_checks(*args, **kwargs):
+    raise AssertionError("every setting is checked before any data is read or any work runs")
+
+
+_WORK = ("_read_csv", "compute_qut", "fit", "run_sweep")
 
 
 @pytest.mark.parametrize("name", sorted(UNWRITABLE_OUT_CASES))
 def test_unwritable_out_exits_2(name, regression_csv, tmp_path, capsys, monkeypatch):
     build, out_path = UNWRITABLE_OUT_CASES[name]
-    if out_path is _missing_dir:
-        for work in ("_read_csv", "compute_qut", "run_sweep"):
-            monkeypatch.setattr(cli, work, _not_before_the_output_check)
     argv = [*build(tmp_path, str(regression_csv)), "--out", str(out_path(tmp_path))]
+    before = sorted(tmp_path.rglob("*"))
+    for work in _WORK:
+        monkeypatch.setattr(cli, work, _not_before_the_checks)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("config error: cannot write output file")
+    assert sorted(tmp_path.rglob("*")) == before  # nothing written
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (code, _) in CLI_EXIT_CASES.items() if code == 2))
+def test_config_errors_are_found_before_any_work(name, regression_csv, tmp_path, monkeypatch):
+    argv = CLI_EXIT_CASES[name][1](tmp_path, str(regression_csv))
+    for work in _WORK:
+        monkeypatch.setattr(cli, work, _not_before_the_checks)
+    assert main(argv) == 2
 
 
 def test_flags_override_the_config(regression_csv, tmp_path):

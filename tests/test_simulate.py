@@ -196,8 +196,7 @@ def test_report_json_csv_round_trip(tmp_path):
     report = _tiny_sweep()
     jpath = tmp_path / "report.json"
     cpath = tmp_path / "report.csv"
-    _emit(report.to_dict(), jpath)
-    report.write_csv(cpath)
+    _emit([jpath, cpath], report.to_dict(), report.csv_text())
     loaded = json.loads(jpath.read_text())
     assert loaded["aggregates"] == report.aggregates()
     lines = cpath.read_text().strip().splitlines()

@@ -296,6 +296,26 @@ def test_reusing_the_accepted_trial_forward_pass_changes_no_bit(monkeypatch):
     assert again.objective_trace == reused.objective_trace
 
 
+def test_a_stuck_last_level_records_only_the_steps_it_took(monkeypatch):
+    rng = np.random.default_rng(6)
+    shape, _, dataset = random_instance(rng, n_layers=2, n=30)
+    lam = 0.8 * lambda0(dataset, shape)
+    capped = fit(shape, dataset, lam, replace(FAST, prox_max_iter=2))
+    backtrack, calls = solver._backtrack, []
+
+    def stuck_on_the_third_call(*args):
+        calls.append(args)
+        return (0.0, None) if len(calls) == 3 else backtrack(*args)
+
+    monkeypatch.setattr(solver, "_backtrack", stuck_on_the_third_call)
+    stuck = fit(shape, dataset, lam, FAST)
+    assert len(calls) == 3
+    # two steps taken: the same fit as one capped at two steps
+    assert len(stuck.objective_trace[-1]) == 3
+    assert stuck.objective_trace == capped.objective_trace
+    assert np.array_equal(stuck.theta.flat, capped.theta.flat)
+
+
 def _sweep_instance(sim, s, rep):
     """Data, lambda_qut and solver config of repetition ``rep`` at sparsity ``s``
     of ``run_sweep(sim, ...)``, drawn from the streams that ``run_sweep`` uses."""
