@@ -50,10 +50,10 @@ def load_run_config(path) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or text not UTF-8
+        raise ConfigError(f"cannot read config file: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     _reject_unknown(cfg, _CONFIG_SECTIONS, "config")
@@ -93,6 +93,8 @@ def _outputs(out, *suffixes) -> list:
     (standard output); refused if one's directory is missing or it is a directory."""
     if not out:
         return []
+    if "\0" in out:
+        raise ConfigError(f"cannot write output file: {out!r} holds a NUL character")
     try:
         paths = [Path(out).with_suffix(s) for s in suffixes] or [Path(out)]
     except ValueError:  # "/" has no name to take a suffix
@@ -117,7 +119,7 @@ def _read_csv(path):
                 raise DataError(f"{path}: empty file")
             except csv.Error as exc:  # e.g. a cell longer than the csv module's field limit
                 raise DataError(f"{path}: line {reader.line_num}: {exc}")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or text not UTF-8
         raise DataError(f"cannot read data file: {exc}")
     if len(set(header)) != len(header):
         repeated = next(h for i, h in enumerate(header) if h in header[:i])
@@ -317,7 +319,7 @@ def _load_model(path):
     try:
         with open(path) as fh:
             saved = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON, a NUL in the path, text not UTF-8
         raise ConfigError(f"cannot read model file: {exc}")
     try:
         shape = NetworkShape.from_dict(saved["shape"])

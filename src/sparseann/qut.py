@@ -73,18 +73,25 @@ def _threshold_scale(shape: NetworkShape) -> float:
     return float(np.sqrt(np.prod(shape.widths[2:shape.n_layers]))) * deriv0
 
 
-def _lambda0_block(X: np.ndarray, Y: np.ndarray, m: int, regression: bool) -> np.ndarray:
+def _free_outputs(shape: NetworkShape) -> int:
+    """Outputs with a free logit: the logit link pins its last class's logit at 0."""
+    return shape.n_outputs - (shape.link == "logit")
+
+
+def _lambda0_block(X: np.ndarray, Y: np.ndarray, m: int, free: int,
+                   regression: bool) -> np.ndarray:
     """Unscaled lambda0 of each m-column draw in Y (n x draws*m), centring Y in place.
 
     Regression divides the largest |X' Yc| entry of a draw by the norm of
     its centred responses; classification takes the largest row l1 norm of
-    the draw's p1 x m block of X' Yc.
+    the draw's p1 x m block of X' Yc over its first ``free`` columns, the
+    classes whose logit the network sets.
     """
     Y -= Y.mean(axis=0)
     A = X.T @ Y
     A = np.abs(A, out=A).reshape(X.shape[1], -1, m)  # p1 x draws x m
     if not regression:
-        return A.sum(axis=2).max(axis=0)
+        return A[:, :, :free].sum(axis=2).max(axis=0)
     nrm = np.sqrt(np.einsum("ij,ij->j", Y, Y).reshape(-1, m).sum(axis=1))
     if nrm.min() < 1e-12:
         raise DataError("constant response: zero-thresholding value is 0/0")
@@ -96,7 +103,8 @@ def _lambda0_one(Y: np.ndarray, X: np.ndarray, shape: NetworkShape, regression: 
     Y = np.array(Y, dtype=float)  # a copy: the block formula centres in place
     if Y.ndim == 1:
         Y = Y.reshape(-1, 1)
-    value = _lambda0_block(np.asarray(X, dtype=float), Y, Y.shape[1], regression)[0]
+    value = _lambda0_block(np.asarray(X, dtype=float), Y, Y.shape[1], _free_outputs(shape),
+                           regression)[0]
     return _threshold_scale(shape) * float(value)
 
 
@@ -106,7 +114,7 @@ def lambda0_regression(Y: np.ndarray, X: np.ndarray, shape: NetworkShape) -> flo
 
 
 def lambda0_classification(Y: np.ndarray, X: np.ndarray, shape: NetworkShape) -> float:
-    """Closed-form zero-thresholding value for cross-entropy with softmax."""
+    """Closed-form zero-thresholding value for cross-entropy with a softmax or logit link."""
     return _lambda0_one(Y, X, shape, regression=False)
 
 
@@ -151,6 +159,7 @@ def compute_qut(dataset: Dataset, shape: NetworkShape, config: QutConfig) -> Qut
     """
     n, m = dataset.n, dataset.n_outputs
     regression = dataset.task == "regression"
+    free = _free_outputs(shape)
     if not regression:
         p_hat = dataset.Y.mean(axis=0)
     M = config.mc_samples
@@ -164,7 +173,7 @@ def compute_qut(dataset: Dataset, shape: NetworkShape, config: QutConfig) -> Qut
             rng = np.random.default_rng([config.seed, i])
             Y[:, j * m:(j + 1) * m] = (sample_null_regression(n, rng) if regression
                                        else sample_null_classification(n, p_hat, rng))
-        samples[lo:hi] = _lambda0_block(dataset.X, Y, m, regression)
+        samples[lo:hi] = _lambda0_block(dataset.X, Y, m, free, regression)
     samples *= _threshold_scale(shape)
     samples.sort()
     # conservative empirical quantile: the ceil((1-alpha) M) order statistic

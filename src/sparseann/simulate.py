@@ -123,18 +123,18 @@ class SimReport:
     def aggregates(self) -> list:
         out = []
         for s in self.config.s_values:
-            rows = [r for r in self.rows if r["s"] == s and not r["failed"]]
-            n_failed = sum(1 for r in self.rows if r["s"] == s and r["failed"])
-            tprs = [r["tpr"] for r in rows if r["tpr"] is not None]
-            pes = [r["pe"] for r in rows if r["pe"] is not None]
+            rows = [r for r in self.rows if r["s"] == s]
+            ok = [r for r in rows if not r["failed"]]
+            tprs = [r["tpr"] for r in ok if r["tpr"] is not None]
+            pes = [r["pe"] for r in ok if r["pe"] is not None]
             out.append(
                 {
                     "s": s,
-                    "repetitions": len(rows),
-                    "failed": n_failed,
-                    "pesr": float(np.mean([r["exact"] for r in rows])) if rows else None,
+                    "repetitions": len(ok),
+                    "failed": len(rows) - len(ok),
+                    "pesr": float(np.mean([r["exact"] for r in ok])) if ok else None,
                     "tpr": float(np.mean(tprs)) if tprs else None,
-                    "fdr": float(np.mean([r["fdr"] for r in rows])) if rows else None,
+                    "fdr": float(np.mean([r["fdr"] for r in ok])) if ok else None,
                     "pe": float(np.mean(pes)) if pes else None,
                 }
             )
@@ -179,44 +179,28 @@ def run_sweep(
     """
     report = SimReport(config=sim)
     gen = gen_linear if sim.kind == "linear" else gen_absdiff
-    estimate_pe = sim.kind == "absdiff"
     for s in sim.s_values:
         for rep in range(sim.repetitions):
             rng = np.random.default_rng([sim.seed, s, rep])
             sub_seed = int(rng.integers(2**63))
             dataset, support_true, true_mu = gen(sim, s, rng)
-            row = {
-                "s": s,
-                "rep": rep,
-                "failed": False,
-                "support_true": support_true,
-                "support_est": [],
-                "exact": False,
-                "tpr": None,
-                "fdr": 0.0,
-                "pe": None,
-                "lambda_qut": None,
-            }
+            row = {"s": s, "rep": rep, "failed": True, "support_true": support_true,
+                   "support_est": [], "exact": False, "tpr": None, "fdr": 0.0, "pe": None,
+                   "lambda_qut": None}
+            report.rows.append(row)
             try:
-                qut = compute_qut(dataset, shape, replace(qut_config, seed=sub_seed))
-                row["lambda_qut"] = qut.lambda_qut
-                result = fit(shape, dataset, qut.lambda_qut,
+                row["lambda_qut"] = compute_qut(
+                    dataset, shape, replace(qut_config, seed=sub_seed)).lambda_qut
+                result = fit(shape, dataset, row["lambda_qut"],
                              replace(solver_config, seed=sub_seed))
             except SparseAnnError:
-                row["failed"] = True
-                report.rows.append(row)
-                continue
-            mu_hat = None
-            X_test = None
-            if estimate_pe:
-                X_test = rng.standard_normal((sim.test_n, sim.p1))
-                mu_hat = lambda Xq, _t=result.theta: forward(shape, _t, Xq)
-            tpr, fdr, exact, pe = metrics(
-                support_true, result.support, true_mu if estimate_pe else None,
-                mu_hat, X_test,
-            )
-            row.update(
-                support_est=result.support, tpr=tpr, fdr=fdr, exact=exact, pe=pe
-            )
-            report.rows.append(row)
+                pass  # the row stays failed, with its threshold if that ran
+            else:  # only the pair-difference sweep scores prediction error, on fresh inputs
+                X_test = (rng.standard_normal((sim.test_n, sim.p1))
+                          if sim.kind == "absdiff" else None)
+                tpr, fdr, exact, pe = metrics(support_true, result.support, true_mu,
+                                              lambda Xq: forward(shape, result.theta, Xq),
+                                              X_test)
+                row.update(failed=False, support_est=result.support, tpr=tpr, fdr=fdr,
+                           exact=exact, pe=pe)
     return report

@@ -339,6 +339,13 @@ def _single_label_csv(tmp_path):
     return str(path)
 
 
+def _latin1_file(tmp_path, name, text):
+    """A file holding ``text`` in Latin-1, so not UTF-8 where ``text`` has an accent."""
+    path = tmp_path / name
+    path.write_bytes(text.encode("latin-1"))
+    return str(path)
+
+
 def _model_file(tmp_path, edit):
     """Saved fit of a (4, 3, 1) network over x0..x3, changed by ``edit``."""
     shape = NetworkShape.make((4, 3, 1))
@@ -518,6 +525,20 @@ CLI_EXIT_CASES = {
     "predict_class_labels_a_string": (2, lambda t, d: [
         "predict", "--data", d, "--model",
         _model_file(t, lambda m: m.update(task="classification", class_labels="x"))]),
+    # open() refuses a path that holds a NUL character with a ValueError, not an OSError
+    "qut_nul_in_data_path": (3, lambda t, d: [
+        "qut", *_REG, "--config", _config_file(t, {"io": {"data": d.replace(".csv", "\0.csv")}})]),
+    "qut_nul_in_config_path": (2, lambda t, d: [
+        "qut", "--data", d, *_REG, "--config", str(t / "cfg\0.json")]),
+    "predict_nul_in_model_path": (2, lambda t, d: [
+        "predict", "--data", d, "--model", str(t / "model\0.json")]),
+    # and a file that is not UTF-8 with a UnicodeDecodeError, a ValueError too
+    "qut_data_not_utf8": (3, lambda t, d: [
+        "qut", "--data", _latin1_file(t, "latin1.csv", "x,y\n\u00e9,1\n2,3\n"), *_REG]),
+    "qut_config_not_utf8": (2, lambda t, d: [
+        "qut", "--data", d, *_REG, "--config", _latin1_file(t, "cfg.json", '{"seed": "\u00e9"}')]),
+    "predict_model_not_utf8": (2, lambda t, d: [
+        "predict", "--data", d, "--model", _latin1_file(t, "model.json", '{"task": "\u00e9"}')]),
 }
 
 
@@ -551,6 +572,11 @@ def _csv_sibling_a_dir(tmp_path):
     return tmp_path / "sweep.json"
 
 
+def _nul_in_name(tmp_path):
+    """A file name that holds a NUL character, which no file system takes."""
+    return tmp_path / "a\0b.json"
+
+
 def _root(tmp_path):
     """A directory whose name is empty, so it takes no suffix."""
     return Path("/")
@@ -571,6 +597,11 @@ UNWRITABLE_OUT_CASES = {
     "simulate_csv": (_COMMANDS["simulate"], _csv_sibling_a_dir),
     **{f"{command}_a_dir": (build, _a_dir) for command, build in _COMMANDS.items()},
     "simulate_root": (_COMMANDS["simulate"], _root),
+    **{f"{command}_nul": (build, _nul_in_name) for command, build in _COMMANDS.items()},
+    # "--out ''" counts as not given, so the config's io.out is the one checked
+    "qut_nul_in_io_out": (lambda t, d: [
+        "qut", "--data", d, *_REG,
+        "--config", _config_file(t, {"io": {"out": str(_nul_in_name(t))}})], lambda t: ""),
 }
 
 

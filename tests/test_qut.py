@@ -17,11 +17,13 @@ from sparseann import (
     SolverConfig,
     act_deriv,
     compute_qut,
+    init_theta,
     lambda0_classification,
     lambda0_regression,
     sample_null_classification,
     sample_null_regression,
 )
+from sparseann.network import loss_and_grad
 
 # sigma'(0) = logistic(50) = 1 to double precision; keeps hand values clean
 UNIT_SLOPE = ActivationSpec(50.0, 1.0, 1.0)
@@ -102,6 +104,38 @@ def test_oracle_never_exceeds_and_approaches_closed_form():
         got = lambda0_oracle(dataset, shape, restarts=50, seed=7)
         assert got <= closed + 1e-8
         assert got >= 0.99 * closed
+
+
+@pytest.mark.parametrize("link, m", [("identity", 1), ("softmax", 3), ("logit", 2), ("logit", 3)])
+def test_lambda0_is_the_sup_of_the_two_layer_null_gradient(link, m):
+    # At theta1 = 0 and the null intercept, the W1 gradient of a two-layer network is
+    # linear in the unit rows of W2, and row k can put its whole weight on one hidden
+    # unit, so the sup of |W1 gradient| is max_j sum_k |G[k, j]|, G the gradient with
+    # row k of W2 on unit k.  The logit link's last class has no free logit: its G row is 0.
+    rng = np.random.default_rng(21)
+    n, p1, p2 = 60, 5, 4
+    X = rng.standard_normal((n, p1))
+    if link == "identity":
+        dataset = Dataset(X=X, Y=rng.standard_normal((n, 1)), task="regression")
+    else:
+        dataset = Dataset(X=X, Y=np.eye(m)[np.arange(n) % m][rng.permutation(n)],
+                          task="classification")
+    shape = NetworkShape.make((p1, p2, m), link)
+    theta = init_theta(shape, SolverConfig(), rng, dataset)
+    theta.theta1[...] = 0.0
+
+    def sup_grad_w1(W2):
+        theta.deep[0][...] = W2
+        return np.abs(loss_and_grad(shape, theta, dataset, dataset.loss_kind)[1].W1).max()
+
+    theta.deep[0][...] = np.eye(m, p2)
+    G = loss_and_grad(shape, theta, dataset, dataset.loss_kind)[1].W1[:m]
+    j = np.abs(G).sum(axis=0).argmax()
+    sup = sup_grad_w1(np.outer(np.where(G[:, j] < 0, -1.0, 1.0), np.eye(p2)[0]))
+    assert sup == pytest.approx(np.abs(G).sum(axis=0).max(), rel=1e-12)
+    assert all(sup_grad_w1(rng.standard_normal((m, p2))) <= sup * (1 + 1e-12)
+               for _ in range(200))
+    assert lambda0(dataset, shape) == pytest.approx(sup, rel=1e-10)
 
 
 def test_sampler_regression_reproducible_and_centered():

@@ -13,6 +13,7 @@ from sparseann import (
     ActivationSpec,
     ConfigError,
     NetworkShape,
+    NumericalError,
     QutConfig,
     SimConfig,
     SolverConfig,
@@ -21,6 +22,7 @@ from sparseann import (
     gen_linear,
     metrics,
     run_sweep,
+    simulate,
     solver,
 )
 from sparseann.cli import _emit
@@ -190,6 +192,27 @@ def test_run_sweep_records_failures(monkeypatch):
     report = run_sweep(sim, shape, QutConfig(mc_samples=100), config)
     assert all(r["failed"] for r in report.rows)
     assert report.aggregates()[0]["failed"] == 2
+
+    # a failed fit keeps the threshold; the rest of the row keeps its defaults, in the
+    # key order that the JSON report prints; prediction error is not scored
+    def fail(*args, **kwargs):
+        raise NumericalError("forced failure")
+
+    monkeypatch.setattr(simulate, "fit", fail)
+    sim = SimConfig.absdiff(n=10, p1=4, s_values=(2,), repetitions=2, seed=1, test_n=50)
+    rows = run_sweep(sim, shape, QutConfig(mc_samples=100), config).rows
+    assert len(rows) == 2
+    for rep, row in enumerate(rows):
+        assert list(row) == ["s", "rep", "failed", "support_true", "support_est", "exact",
+                             "tpr", "fdr", "pe", "lambda_qut"]
+        assert (row["s"], row["rep"], row["support_true"]) == (2, rep, [0, 1])
+        assert row["failed"] is True and row["exact"] is False
+        assert (row["support_est"], row["tpr"], row["fdr"], row["pe"]) == ([], None, 0.0, None)
+        assert isinstance(row["lambda_qut"], float) and row["lambda_qut"] > 0
+    # a failed threshold leaves no lambda_qut
+    monkeypatch.setattr(simulate, "compute_qut", fail)
+    rows = run_sweep(sim, shape, QutConfig(mc_samples=100), config).rows
+    assert [(r["failed"], r["lambda_qut"]) for r in rows] == [(True, None)] * 2
 
 
 def test_report_json_csv_round_trip(tmp_path):

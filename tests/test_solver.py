@@ -265,6 +265,16 @@ def test_solver_config_validation():
         SolverConfig(init_scale=-1.0)
 
 
+@pytest.mark.parametrize("widths", [(5, 3, 1), (4, 3, 2)])
+def test_fit_refuses_widths_that_miss_the_data(widths):
+    # a wrong input width used to surface as a divergence in descent stage 0
+    rng = np.random.default_rng(0)
+    dataset = Dataset(X=rng.standard_normal((30, 4)), Y=rng.standard_normal((30, 1)),
+                      task="regression")
+    with pytest.raises(ValueError, match="4 feature columns and 1 response columns"):
+        fit(NetworkShape.make(widths), dataset, 1.0, FAST)
+
+
 def test_diverging_fit_raises_numerical_error_without_warnings(monkeypatch):
     rng = np.random.default_rng(3)
     X = rng.standard_normal((50, 10))

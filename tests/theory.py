@@ -61,7 +61,9 @@ def lambda0_oracle(
 
     Multi-start projected gradient ascent over the unit-row-norm deep
     weights, maximizing the sup-norm of the null-point gradient.  Kept
-    independent of the closed-form expressions.
+    independent of the closed-form expressions.  Every output column counts,
+    as with the identity and softmax links; the logit link's last class has
+    no free logit, so this is not a bound for it.
     """
     X, Y = dataset.X, dataset.Y
     Yc = Y - Y.mean(axis=0)
