@@ -107,8 +107,65 @@ def _outputs(out, *suffixes) -> list:
     return paths
 
 
-def _read_csv(path):
-    """Header and data rows of a CSV file; every row must match the header."""
+class _Table:
+    """Header and data rows of a CSV file.  A plain text (``_plain_lines``) keeps its
+    data lines unsplit in ``lines`` for numpy's reader; ``rows`` are the cells the
+    csv module reads."""
+
+    def __init__(self, path, header, rows=None, lines=None):
+        self.path, self.header, self.lines, self._rows = path, header, lines, rows
+
+    def __len__(self) -> int:
+        return len(self.lines if self.lines is not None else self._rows)
+
+    @property
+    def rows(self) -> list:
+        if self._rows is None:
+            self._rows = [line.split(",") for line in self.lines]
+        return self._rows
+
+    def column(self, i) -> list:
+        """Cell ``i`` of each data row."""
+        if self.lines is None:
+            return [row[i] for row in self._rows]
+        k = len(self.header)  # split from the nearer end: a response is often first or last
+        if 2 * i < k:
+            return [line.split(",", i + 1)[i] for line in self.lines]
+        return [line.rsplit(",", k - i)[1] for line in self.lines]
+
+
+# Characters no plain text holds: the csv module's quote, NUL, and the ASCII
+# separators, which numpy strips from a number as whitespace and ``float`` refuses.
+_NOT_PLAIN = '"\0\x1c\x1d\x1e\x1f'
+
+
+def _plain_lines(text: str):
+    """The lines of ``text`` without their ends if each splits on "," into the very
+    cells csv.reader reads, and numpy reads a number in them only where ``float``
+    does; else None.  That holds when the text has none of ``_NOT_PLAIN`` and no
+    lone CR, no blank line, no cell beyond the csv field limit, and every line has
+    the header's comma count."""
+    if any(c in text for c in _NOT_PLAIN):
+        return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
+    if lines[-1] == "":  # the last line's end
+        lines.pop()
+    if not lines or "" in lines:
+        return None
+    limit, commas = csv.field_size_limit(), lines[0].count(",")
+    if any(line.count(",") != commas
+           or len(line) > limit and max(map(len, line.split(","))) > limit
+           for line in lines):
+        return None
+    return lines
+
+
+def _csv_rows(path):
+    """Header and rows of a CSV file by the csv module."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -121,46 +178,81 @@ def _read_csv(path):
                 raise DataError(f"{path}: line {reader.line_num}: {exc}")
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or text not UTF-8
         raise DataError(f"cannot read data file: {exc}")
-    if len(set(header)) != len(header):
-        repeated = next(h for i, h in enumerate(header) if h in header[:i])
-        raise DataError(f"{path}: column {repeated!r} appears more than once in the header")
-    for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {r + 2} has {len(row)} cells, "
-                            f"expected {len(header)}")
-    if not rows:
-        raise DataError(f"{path}: no data rows")
     return header, rows
 
 
-def _features(path, header, rows, names=None, drop=None):
+def _read_csv(path) -> _Table:
+    """Header and data rows of a CSV file; every row must match the header."""
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except (OSError, ValueError):  # _csv_rows reads again, to name the error as it streams
+        text = ""
+    lines = _plain_lines(text)
+    if lines is None:
+        table = _Table(path, *_csv_rows(path))
+    else:
+        table = _Table(path, lines[0].split(","), lines=lines[1:])
+    header = table.header
+    if len(set(header)) != len(header):
+        repeated = next(h for i, h in enumerate(header) if h in header[:i])
+        raise DataError(f"{path}: column {repeated!r} appears more than once in the header")
+    if table.lines is None:  # a plain line has the header's cell count
+        for r, row in enumerate(table.rows):
+            if len(row) != len(header):
+                raise DataError(f"{path}: row {r + 2} has {len(row)} cells, "
+                                f"expected {len(header)}")
+    if len(table) == 0:
+        raise DataError(f"{path}: no data rows")
+    return table
+
+
+def _features(table: _Table, names=None, drop=None):
     """Feature matrix and its column names: the columns ``names`` if given, else
     every column but ``drop``, in header order."""
+    header = table.header
     if names:
         missing = [f for f in names if f not in header]
         if missing:
-            raise DataError(f"{path}: missing feature columns {missing}")
+            raise DataError(f"{table.path}: missing feature columns {missing}")
         idxs = [header.index(f) for f in names]
     else:
         idxs = [i for i, h in enumerate(header) if h != drop]
     if not idxs:
-        raise DataError(f"{path}: no feature columns")
-    return _numeric_columns(path, header, rows, idxs), [header[i] for i in idxs]
+        raise DataError(f"{table.path}: no feature columns")
+    return _numeric_columns(table, idxs), [header[i] for i in idxs]
 
 
-def _numeric_columns(path, header, rows, idxs) -> np.ndarray:
-    """Columns ``idxs`` of the data rows as a float matrix; every cell finite."""
-    cells = (row[i] for row in rows for i in idxs)
+def _numeric_columns(table: _Table, idxs) -> np.ndarray:
+    """Columns ``idxs`` of the data rows as a C-contiguous float matrix; every cell
+    finite.  Several columns of plain lines go to numpy's C reader, which gives
+    ``float``'s bytes.  A cell it refuses, or a value that is not finite, leaves them
+    to ``float``, which parses what numpy does not (``1_0``, non-ASCII digits) and
+    names a bad cell."""
+    if len(idxs) > 1 and table.lines is not None:
+        try:
+            X = np.loadtxt(table.lines, delimiter=",", usecols=idxs, comments=None,
+                           quotechar=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(X).all():
+                return X
+    if len(idxs) == 1:  # one column's cells, cut from the lines unsplit: as fast as numpy
+        cells = table.column(idxs[0])
+    else:
+        cells = (row[i] for row in table.rows for i in idxs)
+    n = len(table)
     try:
-        X = np.fromiter(map(float, cells), float, len(rows) * len(idxs))
+        X = np.fromiter(map(float, cells), float, n * len(idxs))
     except ValueError:
-        _raise_bad_cell(path, header, rows, idxs)
-    X = X.reshape(len(rows), len(idxs))
+        _raise_bad_cell(table.path, table.header, table.rows, idxs)
+    X = X.reshape(n, len(idxs))
     bad = np.argwhere(~np.isfinite(X))
     if bad.size:
         r, c = bad[0]
-        raise DataError(f"{path}: non-finite cell {rows[r][idxs[c]].strip()!r} at "
-                        f"row {r + 2}, column {header[idxs[c]]!r}")
+        raise DataError(f"{table.path}: non-finite cell {table.rows[r][idxs[c]].strip()!r} "
+                        f"at row {r + 2}, column {table.header[idxs[c]]!r}")
     return X
 
 
@@ -187,22 +279,22 @@ def load_csv(path, response: str, task: str) -> Dataset:
     (classification; labels map to one-hot in first-appearance order).
     Every other column is a numeric feature, kept in header order.
     """
-    header, rows = _read_csv(path)
-    if response not in header:
+    table = _read_csv(path)
+    if response not in table.header:
         raise DataError(f"response column {response!r} not found in header")
-    X, feature_names = _features(path, header, rows, drop=response)
-    y_idx = header.index(response)
+    X, feature_names = _features(table, drop=response)
+    y_idx = table.header.index(response)
 
     if task == "regression":
-        Y = _numeric_columns(path, header, rows, [y_idx])
+        Y = _numeric_columns(table, [y_idx])
         return Dataset(X=X, Y=Y, task="regression", feature_names=feature_names)
 
-    y_raw = [row[y_idx].strip() for row in rows]
+    y_raw = [cell.strip() for cell in table.column(y_idx)]
     if "" in y_raw:
         raise DataError(f"missing label in column {response!r}")
     column = {v: j for j, v in enumerate(dict.fromkeys(y_raw))}  # first-appearance order
-    Y = np.zeros((len(rows), len(column)))
-    Y[np.arange(len(rows)), [column[v] for v in y_raw]] = 1.0
+    Y = np.zeros((len(y_raw), len(column)))
+    Y[np.arange(len(y_raw)), [column[v] for v in y_raw]] = 1.0
     return Dataset(X=X, Y=Y, task="classification",
                    feature_names=feature_names, class_labels=list(column))
 
@@ -354,7 +446,7 @@ def _load_model(path):
 def cmd_predict(args) -> int:
     outs = _outputs(args.out)
     saved, shape, theta = _load_model(args.model)
-    X, used_names = _features(args.data, *_read_csv(args.data), saved.get("feature_names"),
+    X, used_names = _features(_read_csv(args.data), saved.get("feature_names"),
                               drop=args.response)
     if X.shape[1] != shape.n_inputs:
         raise DataError(f"{args.data}: {X.shape[1]} feature columns, "

@@ -76,6 +76,14 @@ class NetworkShape:
     def n_outputs(self) -> int:
         return self.widths[-1]
 
+    def check_widths(self, n_features: int, n_outputs: int):
+        """Raise ValueError unless the network maps ``n_features`` data columns to
+        ``n_outputs`` response columns."""
+        if (self.n_inputs, self.n_outputs) != (n_features, n_outputs):
+            raise ValueError(f"the network maps {self.n_inputs} inputs to {self.n_outputs} "
+                             f"outputs, the data have {n_features} feature columns and "
+                             f"{n_outputs} response columns")
+
     @cached_property
     def param_shapes(self) -> tuple:
         """Shape of each parameter array, in the order of ``Theta.flat``."""

@@ -103,8 +103,9 @@ def _lambda0_one(Y: np.ndarray, X: np.ndarray, shape: NetworkShape, regression: 
     Y = np.array(Y, dtype=float)  # a copy: the block formula centres in place
     if Y.ndim == 1:
         Y = Y.reshape(-1, 1)
-    value = _lambda0_block(np.asarray(X, dtype=float), Y, Y.shape[1], _free_outputs(shape),
-                           regression)[0]
+    X = np.asarray(X, dtype=float)
+    shape.check_widths(X.shape[1], Y.shape[1])
+    value = _lambda0_block(X, Y, Y.shape[1], _free_outputs(shape), regression)[0]
     return _threshold_scale(shape) * float(value)
 
 
@@ -157,6 +158,7 @@ def compute_qut(dataset: Dataset, shape: NetworkShape, config: QutConfig) -> Qut
     single product against X per block; the samples equal one-draw-at-a-time
     evaluation up to rounding.
     """
+    shape.check_widths(dataset.n_features, dataset.n_outputs)
     n, m = dataset.n, dataset.n_outputs
     regression = dataset.task == "regression"
     free = _free_outputs(shape)

@@ -200,10 +200,7 @@ def fit(
     With ``SolverConfig(descent_epochs=0)`` only the last level takes steps,
     from the random start (a cold start); the six others keep empty traces.
     """
-    if (shape.n_inputs, shape.n_outputs) != (dataset.n_features, dataset.n_outputs):
-        raise ValueError(f"the network maps {shape.n_inputs} inputs to {shape.n_outputs} "
-                         f"outputs, the data have {dataset.n_features} feature columns and "
-                         f"{dataset.n_outputs} response columns")
+    shape.check_widths(dataset.n_features, dataset.n_outputs)
     rng = np.random.default_rng(config.seed)
     theta = init_theta(shape, config, rng, dataset)
     loss_kind = dataset.loss_kind

@@ -6,8 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sparseann import (
+    DataError,
     FitResult,
     NetworkShape,
     SolverConfig,
@@ -95,6 +98,161 @@ def test_load_csv_missing_value(tmp_path):
 
     with pytest.raises(DataError, match="missing value"):
         load_csv(path, "y", "regression")
+
+
+def _csv_text(rows, end="\n") -> str:
+    return "".join(",".join(row) + end for row in rows)
+
+
+_H = ["x0", "x1", "x2", "x3", "y"]
+_R = [["0.5", "-1.25", "2", "3e-2", "1"], ["1.5", "0.75", "-0.5", "4", "-2"],
+      ["-2", "1", "0.125", "-3.5", "0.5"]]
+_LONG = "1" * (csv.field_size_limit() + 1)
+
+
+def _with_cell(r, c, value):
+    """The regression table whose data row ``r`` holds ``value`` in column ``c``."""
+    rows = [list(row) for row in _R]
+    rows[r][c] = value
+    return [_H, *rows]
+
+
+def _labelled(*labels, at=4):
+    """Columns x0..x3 with a ``label`` column of ``labels`` inserted at ``at``."""
+    return [row[:4][:at] + [label] + row[:4][at:]
+            for row, label in zip([_H, *_R], ["label", *labels])]
+
+
+def _padded(table, left, right=""):
+    """``table`` with each data cell between ``left`` and ``right``."""
+    return [table[0], *[[f"{left}{c}{right}" for c in row] for row in table[1:]]]
+
+
+# name -> (task, whether the text is plain, file content, part of the DataError or None)
+CSV_PARITY_CASES = {
+    "plain": ("regression", True, _csv_text([_H, *_R]), None),
+    "quoted_label_with_comma": ("classification", False,
+                                _csv_text(_labelled('"a,b"', "c", '"a,b"')), None),
+    "quoted_number": ("regression", False, _csv_text(_with_cell(0, 1, '"-1.25"')), None),
+    "hash_label": ("classification", True, _csv_text(_labelled("#a", "b", "#a")), None),
+    "hash_cell": ("regression", True, _csv_text(_with_cell(1, 2, "#")),
+                  "non-numeric cell '#' at row 3, column 'x2'"),
+    "blank_line_inside": ("regression", False,
+                          _csv_text([_H, _R[0]]) + "\n" + _csv_text(_R[1:]),
+                          "row 3 has 0 cells, expected 5"),
+    "blank_line_at_end": ("regression", False, _csv_text([_H, *_R]) + "\n",
+                          "row 5 has 0 cells, expected 5"),
+    "crlf": ("regression", True, _csv_text([_H, *_R], "\r\n"), None),
+    "lone_cr": ("regression", False, _csv_text([_H, *_R], "\r"), None),
+    "bom": ("regression", True, "\ufeff" + _csv_text([_H, *_R]), None),
+    "underscore_digits": ("regression", True, _csv_text(_with_cell(0, 0, "1_0")), None),
+    "arabic_indic_digits": ("regression", True, _csv_text(_with_cell(2, 1, "\u0661\u0662")), None),
+    "extra_cell": ("regression", False, _csv_text([_H, _R[0] + ["7"], *_R[1:]]),
+                   "row 2 has 6 cells, expected 5"),
+    "missing_cell": ("regression", False, _csv_text([_H, _R[0], _R[1][:4], _R[2]]),
+                     "row 3 has 4 cells, expected 5"),
+    "no_final_newline": ("regression", True, _csv_text([_H, *_R])[:-1], None),
+    "spaces": ("regression", True, _csv_text(_padded([_H, *_R], " ", "  ")), None),
+    "tabs": ("classification", True, _csv_text(_padded(_labelled("a", "b", "a"), "\t")), None),
+    "inf_feature": ("regression", True, _csv_text(_with_cell(2, 3, "inf")),
+                    "non-finite cell 'inf' at row 4, column 'x3'"),
+    "nan_response": ("regression", True, _csv_text(_with_cell(0, 4, "nan")),
+                     "non-finite cell 'nan' at row 2, column 'y'"),
+    "header_only": ("regression", True, _csv_text([_H]), "no data rows"),
+    "response_first": ("regression", True, _csv_text([row[4:] + row[:4] for row in [_H, *_R]]),
+                       None),
+    "label_in_the_middle": ("classification", True, _csv_text(_labelled("a", "b", "a", at=2)),
+                            None),
+    "nul_byte": ("regression", False, _csv_text(_with_cell(1, 0, "1\0")),
+                 "non-numeric cell '1\\x00' at row 3, column 'x0'"),
+    # numpy strips the ASCII separators \x1c-\x1f around a number, float refuses them
+    "ascii_separator": ("regression", False, _csv_text(_with_cell(1, 1, "2\x1f")),
+                        "the numeric columns do not parse"),
+    "cell_over_the_field_limit": ("regression", False, _csv_text(_with_cell(1, 1, _LONG)),
+                                  "line 3: field larger than field limit"),
+    # the csv module meets the long cell before it decodes the Latin-1 byte at the end
+    "over_the_field_limit_then_not_utf8": ("regression", False,
+                                           _csv_text(_with_cell(0, 1, _LONG)) + "\u00e9",
+                                           "line 2: field larger than field limit"),
+}
+
+
+def _refuse(*args, **kwargs):
+    raise ValueError("numpy's reader is not used")
+
+
+def _parity_models(tmp_path):
+    """The model file over x0..x3, and a copy whose feature_names read x1 twice."""
+    model = Path(_model_file(tmp_path, lambda m: None))
+    saved = json.loads(model.read_text())
+    saved["feature_names"] = ["x0", "x1", "x1", "x3"]
+    twice = tmp_path / "twice.json"
+    twice.write_text(json.dumps(saved))
+    return [str(model), str(twice)]
+
+
+def _read_both_commands(path, task, models, capsys):
+    """What load_csv gives (array bytes and names, or the DataError), and each
+    ``predict`` of ``models`` on ``path`` (exit code, stderr, output bytes)."""
+    try:
+        ds = load_csv(path, "y" if task == "regression" else "label", task)
+        loaded = (ds.X.tobytes(), ds.X.shape, ds.X.flags.c_contiguous, ds.Y.tobytes(),
+                  ds.feature_names, ds.class_labels)
+    except DataError as exc:
+        loaded = str(exc)
+    predicted = []
+    for model in models:
+        out = path.with_name("pred.json")
+        code = main(["predict", "--data", str(path), "--model", model, "--out", str(out)])
+        predicted.append((code, capsys.readouterr().err,
+                          out.read_bytes() if out.exists() else None))
+        out.unlink(missing_ok=True)
+    return loaded, predicted
+
+
+@pytest.mark.parametrize("name", sorted(CSV_PARITY_CASES))
+def test_numpys_reader_and_the_csv_path_agree(name, tmp_path, capsys, monkeypatch):
+    task, plain, content, message = CSV_PARITY_CASES[name]
+    path = tmp_path / "data.csv"
+    path.write_bytes(content.encode("latin-1" if "not_utf8" in name else "utf-8"))
+    assert (cli._plain_lines(content) is not None) == plain
+    models = _parity_models(tmp_path)
+    got = _read_both_commands(path, task, models, capsys)
+    if message is None:
+        assert not isinstance(got[0], str), got[0]
+    else:
+        assert message in got[0]
+    monkeypatch.setattr(cli.np, "loadtxt", _refuse)  # float over the same lines
+    assert _read_both_commands(path, task, models, capsys) == got
+    monkeypatch.setattr(cli, "_plain_lines", lambda text: None)  # csv.reader over the file
+    assert _read_both_commands(path, task, models, capsys) == got
+
+
+_PADDED_DECIMAL = r"\A[ \t]*[+-]?[0-9]{0,6}(\.[0-9]{0,6})?([eE][+-]?[0-9]{1,3})?[ \t]*\Z"
+# characters near a number's edge where parsers disagree: whitespace of every kind,
+# the ASCII separators, underscores and non-ASCII digits
+_CELL_CHARS = st.one_of(st.characters(), st.sampled_from(
+    "0123456789+-.eE_ \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000\u0661"))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(st.floats().map(repr), st.from_regex(_PADDED_DECIMAL),
+                 st.text(_CELL_CHARS, max_size=8)))
+def test_numpy_reads_a_plain_cell_as_float_does(cell):
+    """On a cell of a plain text, numpy's reader gives ``float``'s bytes, the sign of
+    -0 included, and reads no cell that ``float`` refuses."""
+    lines = cli._plain_lines(f"a,b\n{cell},0\n")
+    assume(lines is not None)
+    try:
+        got = np.loadtxt(lines[1:], delimiter=",", usecols=[0, 1], comments=None,
+                         quotechar=None, ndmin=2)[0, 0]
+    except ValueError:
+        return
+    try:
+        want = float(cell)
+    except ValueError:
+        pytest.fail(f"numpy reads {cell!r} as {got!r}, float refuses it")
+    assert np.float64(want).tobytes() == got.tobytes()
 
 
 def test_qut_command(regression_csv, tmp_path):

@@ -301,3 +301,25 @@ def test_configs_reject_bad_seeds(seed):
         SolverConfig(seed=seed)
     with pytest.raises(ConfigError, match="seed"):
         SimConfig.linear(seed=seed)
+
+
+@pytest.mark.parametrize("task, widths, link", [
+    ("regression", (9, 3, 1), "identity"),  # 9 inputs for 4 feature columns
+    ("classification", (4, 3, 2), "logit"),  # 2 outputs for 3 classes
+])
+def test_threshold_refuses_widths_that_miss_the_data(task, widths, link, monkeypatch):
+    # both used to return a plausible threshold
+    dataset = _null_dataset(task, 30, 4)
+    shape = NetworkShape.make(widths, link)
+    want = (f"the network maps {widths[0]} inputs to {widths[-1]} outputs, the data have "
+            f"4 feature columns and {dataset.n_outputs} response columns")
+
+    def no_draw(*args):
+        raise AssertionError("the widths are checked before any draw")
+
+    monkeypatch.setattr(qut_module, f"sample_null_{task}", no_draw)
+    with pytest.raises(ValueError, match=want):
+        compute_qut(dataset, shape, QutConfig(mc_samples=100))
+    lambda0_one = lambda0_regression if task == "regression" else lambda0_classification
+    with pytest.raises(ValueError, match=want):
+        lambda0_one(dataset.Y, dataset.X, shape)
