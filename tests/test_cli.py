@@ -191,7 +191,7 @@ def _parity_models(tmp_path):
     return [str(model), str(twice)]
 
 
-def _read_both_commands(path, task, models, capsys):
+def _load_and_predict(path, task, models, capsys):
     """What load_csv gives (array bytes and names, or the DataError), and each
     ``predict`` of ``models`` on ``path`` (exit code, stderr, output bytes)."""
     try:
@@ -217,15 +217,15 @@ def test_numpys_reader_and_the_csv_path_agree(name, tmp_path, capsys, monkeypatc
     path.write_bytes(content.encode("latin-1" if "not_utf8" in name else "utf-8"))
     assert (cli._plain_lines(content) is not None) == plain
     models = _parity_models(tmp_path)
-    got = _read_both_commands(path, task, models, capsys)
+    got = _load_and_predict(path, task, models, capsys)
     if message is None:
         assert not isinstance(got[0], str), got[0]
     else:
         assert message in got[0]
     monkeypatch.setattr(cli.np, "loadtxt", _refuse)  # float over the same lines
-    assert _read_both_commands(path, task, models, capsys) == got
+    assert _load_and_predict(path, task, models, capsys) == got
     monkeypatch.setattr(cli, "_plain_lines", lambda text: None)  # csv.reader over the file
-    assert _read_both_commands(path, task, models, capsys) == got
+    assert _load_and_predict(path, task, models, capsys) == got
 
 
 _PADDED_DECIMAL = r"\A[ \t]*[+-]?[0-9]{0,6}(\.[0-9]{0,6})?([eE][+-]?[0-9]{1,3})?[ \t]*\Z"
