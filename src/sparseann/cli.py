@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import fields, replace
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -46,14 +47,21 @@ def _reject_unknown(d: dict, allowed: set, where: str):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _read_text(path, what: str, error) -> str:
+    """The whole text of an input file, as UTF-8 after an optional byte-order mark, with
+    its line ends as written; ``error`` names a ``what`` file that cannot be read."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or text not UTF-8
+        raise error(f"cannot read {what} file: {exc}")
+
+
 def load_run_config(path) -> dict:
     try:
-        with open(path) as fh:
-            cfg = json.load(fh)
+        cfg = json.loads(_read_text(path, "config", ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}")
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or text not UTF-8
-        raise ConfigError(f"cannot read config file: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     _reject_unknown(cfg, _CONFIG_SECTIONS, "config")
@@ -134,9 +142,10 @@ class _Table:
         return [line.rsplit(",", k - i)[1] for line in self.lines]
 
 
-# Characters no plain text holds: the csv module's quote, NUL, and the ASCII
-# separators, which numpy strips from a number as whitespace and ``float`` refuses.
-_NOT_PLAIN = '"\0\x1c\x1d\x1e\x1f'
+# The ASCII separators: numpy strips them from a number as whitespace, ``float`` refuses them.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+# Characters no plain text holds: the csv module's quote, NUL, and the separators.
+_NOT_PLAIN = '"\0' + _SEPARATORS
 
 
 def _plain_lines(text: str):
@@ -164,35 +173,21 @@ def _plain_lines(text: str):
     return lines
 
 
-def _csv_rows(path):
-    """Header and rows of a CSV file by the csv module."""
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-                rows = list(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file")
-            except csv.Error as exc:  # e.g. a cell longer than the csv module's field limit
-                raise DataError(f"{path}: line {reader.line_num}: {exc}")
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or text not UTF-8
-        raise DataError(f"cannot read data file: {exc}")
-    return header, rows
-
-
 def _read_csv(path) -> _Table:
-    """Header and data rows of a CSV file; every row must match the header."""
-    try:
-        with open(path, newline="") as fh:
-            text = fh.read()
-    except (OSError, ValueError):  # _csv_rows reads again, to name the error as it streams
-        text = ""
+    """Header and data rows of a CSV file; every row must match the header.  A plain
+    text is split on ","; any other goes to the csv module."""
+    text = _read_text(path, "data", DataError)
     lines = _plain_lines(text)
-    if lines is None:
-        table = _Table(path, *_csv_rows(path))
-    else:
+    if lines is not None:
         table = _Table(path, lines[0].split(","), lines=lines[1:])
+    else:
+        reader = csv.reader(StringIO(text, newline=""))
+        try:
+            table = _Table(path, next(reader), list(reader))
+        except StopIteration:
+            raise DataError(f"{path}: empty file")
+        except csv.Error as exc:  # e.g. a cell longer than the csv module's field limit
+            raise DataError(f"{path}: line {reader.line_num}: {exc}")
     header = table.header
     if len(set(header)) != len(header):
         repeated = next(h for i, h in enumerate(header) if h in header[:i])
@@ -226,50 +221,49 @@ def _features(table: _Table, names=None, drop=None):
 def _numeric_columns(table: _Table, idxs) -> np.ndarray:
     """Columns ``idxs`` of the data rows as a C-contiguous float matrix; every cell
     finite.  Several columns of plain lines go to numpy's C reader, which gives
-    ``float``'s bytes.  A cell it refuses, or a value that is not finite, leaves them
-    to ``float``, which parses what numpy does not (``1_0``, non-ASCII digits) and
-    names a bad cell."""
+    ``float``'s bytes.  A cell it refuses leaves them to ``float``, which parses what
+    numpy does not (``1_0``, non-ASCII digits) and names a bad cell."""
+    X = None
     if len(idxs) > 1 and table.lines is not None:
         try:
             X = np.loadtxt(table.lines, delimiter=",", usecols=idxs, comments=None,
                            quotechar=None, ndmin=2)
         except ValueError:
             pass
+    if X is None:
+        if len(idxs) == 1:  # one column's cells, cut from the lines unsplit: as fast as numpy
+            cells = table.column(idxs[0])
         else:
-            if np.isfinite(X).all():
-                return X
-    if len(idxs) == 1:  # one column's cells, cut from the lines unsplit: as fast as numpy
-        cells = table.column(idxs[0])
-    else:
-        cells = (row[i] for row in table.rows for i in idxs)
-    n = len(table)
-    try:
-        X = np.fromiter(map(float, cells), float, n * len(idxs))
-    except ValueError:
-        _raise_bad_cell(table.path, table.header, table.rows, idxs)
-    X = X.reshape(n, len(idxs))
-    bad = np.argwhere(~np.isfinite(X))
-    if bad.size:
-        r, c = bad[0]
+            cells = (row[i] for row in table.rows for i in idxs)
+        n = len(table)
+        try:
+            X = np.fromiter(map(float, cells), float, n * len(idxs))
+        except ValueError:
+            _raise_bad_cell(table.path, table.header, table.rows, idxs)
+        X = X.reshape(n, len(idxs))
+    if not np.isfinite(X).all():
+        r, c = np.argwhere(~np.isfinite(X))[0]
         raise DataError(f"{table.path}: non-finite cell {table.rows[r][idxs[c]].strip()!r} "
                         f"at row {r + 2}, column {table.header[idxs[c]]!r}")
     return X
 
 
 def _raise_bad_cell(path, header, rows, idxs):
-    """Name the first cell of columns ``idxs`` that does not parse as a number."""
+    """Name the first cell of columns ``idxs`` that ``float`` refuses, shown without the
+    whitespace ``float`` ignores at its edges: every ``str.isspace`` character (the last
+    is U+3000) but the separators."""
+    space = "".join(c for c in map(chr, range(0x3001)) if c.isspace() and c not in _SEPARATORS)
     for r, row in enumerate(rows):
         for i in idxs:
-            cell = row[i].strip()
-            if cell == "":
-                raise DataError(f"{path}: missing value at row {r + 2}, "
-                                f"column {header[i]!r}")
             try:
-                float(cell)
+                float(row[i])
             except ValueError:
+                cell = row[i].strip(space)
+                if cell == "":
+                    raise DataError(f"{path}: missing value at row {r + 2}, "
+                                    f"column {header[i]!r}") from None
                 raise DataError(f"{path}: non-numeric cell {cell!r} at "
                                 f"row {r + 2}, column {header[i]!r}") from None
-    raise DataError(f"{path}: the numeric columns do not parse")
 
 
 def load_csv(path, response: str, task: str) -> Dataset:
@@ -409,9 +403,8 @@ def cmd_fit(args) -> int:
 def _load_model(path):
     """Saved fit JSON with its network shape and parameters, checked against each other."""
     try:
-        with open(path) as fh:
-            saved = json.load(fh)
-    except (OSError, ValueError) as exc:  # bad JSON, a NUL in the path, text not UTF-8
+        saved = json.loads(_read_text(path, "model", ConfigError))
+    except ValueError as exc:  # bad JSON
         raise ConfigError(f"cannot read model file: {exc}")
     try:
         shape = NetworkShape.from_dict(saved["shape"])

@@ -23,7 +23,6 @@ iterate on acceptance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,20 +50,17 @@ DEEP_FLUSH = 1e-150
 # The step of the six fixed-step levels.  A smaller first step, backtracking or
 # step growth there lost pair-difference recoveries.
 LR_DESCENT = 1e-2
+# The penalized part of a random start is uniform on [-INIT_SCALE, INIT_SCALE].
+INIT_SCALE = 1.0
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     descent_epochs: int = 400  # most steps each warm-start level takes; 0 is a cold start
     prox_max_iter: int = 2000  # most steps the last level, at the threshold, takes
-    init_scale: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
-        # rng.uniform(-s, s) needs the width 2 s to be finite
-        if not 0 <= 2 * self.init_scale < math.inf:
-            raise ValueError(f"init_scale must be nonnegative with 2 * init_scale finite, "
-                             f"got {self.init_scale!r}")
         check_int(self.descent_epochs, "descent_epochs")
         check_int(self.prox_max_iter, "prox_max_iter", 1)
         check_int(self.seed, "seed")
@@ -132,14 +128,14 @@ def _null_intercept(dataset: Dataset, link: str) -> np.ndarray:
 
 def init_theta(shape: NetworkShape, config: SolverConfig, rng: np.random.Generator,
                dataset: Dataset = None) -> Theta:
-    """Random start: small uniform penalized part, unit-norm deep rows.
+    """Random start: penalized part uniform on [-INIT_SCALE, INIT_SCALE], unit-norm
+    deep rows.  The start does not depend on ``config``.
 
     With a dataset given, the intercept starts at the constant-model
     minimizer so the start point matches the null of the threshold theory.
     """
-    s = config.init_scale
     theta = Theta.zeros(shape)
-    theta.theta1[...] = rng.uniform(-s, s, size=theta.theta1.size)
+    theta.theta1[...] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=theta.theta1.size)
     for W in theta.deep:
         W[...] = normalize_rows(rng.standard_normal(W.shape))[0]
     if dataset is not None:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface."""
 
+import builtins
 import csv
 import json
 from pathlib import Path
@@ -167,13 +168,14 @@ CSV_PARITY_CASES = {
                  "non-numeric cell '1\\x00' at row 3, column 'x0'"),
     # numpy strips the ASCII separators \x1c-\x1f around a number, float refuses them
     "ascii_separator": ("regression", False, _csv_text(_with_cell(1, 1, "2\x1f")),
-                        "the numeric columns do not parse"),
+                        "non-numeric cell '2\\x1f' at row 3, column 'x1'"),
     "cell_over_the_field_limit": ("regression", False, _csv_text(_with_cell(1, 1, _LONG)),
                                   "line 3: field larger than field limit"),
-    # the csv module meets the long cell before it decodes the Latin-1 byte at the end
+    # the whole text is decoded before any cell is parsed, so the Latin-1 byte at the
+    # end is named, not the long cell before it
     "over_the_field_limit_then_not_utf8": ("regression", False,
                                            _csv_text(_with_cell(0, 1, _LONG)) + "\u00e9",
-                                           "line 2: field larger than field limit"),
+                                           "cannot read data file: 'utf-8' codec can't decode"),
 }
 
 
@@ -226,6 +228,65 @@ def test_numpys_reader_and_the_csv_path_agree(name, tmp_path, capsys, monkeypatc
     assert _load_and_predict(path, task, models, capsys) == got
     monkeypatch.setattr(cli, "_plain_lines", lambda text: None)  # csv.reader over the file
     assert _load_and_predict(path, task, models, capsys) == got
+
+
+def _bom_file(path, text):
+    """``path`` holding ``text`` after a UTF-8 byte-order mark."""
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    return str(path)
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_column(regression_csv, tmp_path):
+    rows = regression_csv.read_text().splitlines()
+    y_first = "".join(f"{line.rsplit(',', 1)[1]},{line.rsplit(',', 1)[0]}\n" for line in rows)
+    out = tmp_path / "qut.json"
+    argv = ["qut", "--data", _bom_file(tmp_path / "y_first.csv", y_first), *_REG]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["lambda_qut"] > 0
+
+
+def test_a_model_fit_on_a_bom_file_predicts_on_the_same_data_without_one(regression_csv,
+                                                                          tmp_path):
+    model, pred = tmp_path / "model.json", tmp_path / "pred.json"
+    bom = _bom_file(tmp_path / "bom.csv", regression_csv.read_text())
+    assert main(["fit", "--data", bom, *_REG, "--lambda", "1", "--out", str(model)]) == 0
+    assert json.loads(model.read_text())["feature_names"] == ["x0", "x1", "x2", "x3"]
+    assert main(["predict", "--data", str(regression_csv), "--model", str(model),
+                 "--out", str(pred)]) == 0
+
+
+def test_a_config_file_may_start_with_a_byte_order_mark(regression_csv, tmp_path):
+    out = tmp_path / "qut.json"
+    cfg = _bom_file(tmp_path / "cfg.json", json.dumps({"seed": 3}))
+    assert main(["qut", "--data", str(regression_csv), *_REG, "--config", cfg,
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["seed"] == 3
+
+
+def test_a_decoding_error_names_the_byte_offset_in_the_file(tmp_path, capsys):
+    head = b"x,y\n" + b"1.5,2.25\n" * 3000  # well past the first 8 KB
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(head + b"\xe9,1\n")
+    assert main(["qut", "--data", str(path), *_REG]) == 3
+    assert f"can't decode byte 0xe9 in position {len(head)}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_the_data_file_is_opened_once(quoted, regression_csv, tmp_path, monkeypatch):
+    path = regression_csv
+    if quoted:  # not plain: the csv module reads it
+        path = tmp_path / "quoted.csv"
+        path.write_text("".join(f'"{line}"\n'.replace(",", '","')
+                                for line in regression_csv.read_text().splitlines()))
+    opened, real_open = [], open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main(["qut", "--data", str(path), *_REG, "--out", str(tmp_path / "qut.json")]) == 0
+    assert opened.count(str(path)) == 1
 
 
 _PADDED_DECIMAL = r"\A[ \t]*[+-]?[0-9]{0,6}(\.[0-9]{0,6})?([eE][+-]?[0-9]{1,3})?[ \t]*\Z"
@@ -635,9 +696,7 @@ CLI_EXIT_CASES = {
     "fit_fractional_descent_epochs": (2, _configured("solver", "descent_epochs", 10.5)),
     "fit_fractional_prox_max_iter": (2, _configured("solver", "prox_max_iter", 2.5)),
     "fit_bool_prox_max_iter": (2, _configured("solver", "prox_max_iter", True)),
-    "fit_nan_init_scale": (2, _configured("solver", "init_scale", float("nan"))),
-    "fit_infinite_init_scale": (2, _configured("solver", "init_scale", float("inf"))),
-    "fit_init_scale_overflows_when_doubled": (2, _configured("solver", "init_scale", 1e308)),
+    "fit_removed_init_scale": (2, _configured("solver", "init_scale", 1.0)),
     "fit_removed_lr_descent": (2, _configured("solver", "lr_descent", 1e-2)),
     "fit_removed_prox_tol": (2, _configured("solver", "prox_tol", 1e-8)),
     "fit_classification_identity_link": (2, _linked("fit", "classification", "identity")),

@@ -71,17 +71,6 @@ def test_init_theta_start_point_is_pinned(widths, digest):
     assert hashlib.sha256(theta.flat.tobytes()).hexdigest() == digest
 
 
-def test_init_scale_zero_gives_constant_model():
-    rng = np.random.default_rng(1)
-    shape, _, dataset = random_instance(rng, n_layers=2)
-    theta = init_theta(
-        shape, SolverConfig(init_scale=0.0), np.random.default_rng(0), dataset
-    )
-    assert np.all(theta.W1 == 0.0)
-    mu = forward(shape, theta, dataset.X)
-    assert np.all(mu == mu[0])
-
-
 def test_huge_penalty_returns_exact_null():
     rng = np.random.default_rng(2)
     shape, _, dataset = random_instance(rng, n_layers=2, n=20)
@@ -261,8 +250,8 @@ def test_solver_config_validation():
         SolverConfig(prox_tol=1e-8)
     with pytest.raises(TypeError):  # removed key: the fixed step is LR_DESCENT
         SolverConfig(lr_descent=1e-2)
-    with pytest.raises(ValueError):
-        SolverConfig(init_scale=-1.0)
+    with pytest.raises(TypeError):  # removed key: the start's scale is INIT_SCALE
+        SolverConfig(init_scale=1.0)
 
 
 @pytest.mark.parametrize("widths", [(5, 3, 1), (4, 3, 2)])
