@@ -237,8 +237,8 @@ def _bom_file(path, text):
 
 
 def test_a_byte_order_mark_is_not_part_of_the_first_column(regression_csv, tmp_path):
-    rows = regression_csv.read_text().splitlines()
-    y_first = "".join(f"{line.rsplit(',', 1)[1]},{line.rsplit(',', 1)[0]}\n" for line in rows)
+    lines = regression_csv.read_text().splitlines()
+    y_first = "".join(f"{y},{xs}\n" for xs, y in (line.rsplit(",", 1) for line in lines))
     out = tmp_path / "qut.json"
     argv = ["qut", "--data", _bom_file(tmp_path / "y_first.csv", y_first), *_REG]
     assert main([*argv, "--out", str(out)]) == 0
