@@ -26,8 +26,8 @@ class ActivationSpec:
 
     M may be ``math.inf``, giving the exact ReLU-type limit.  The limit is
     usable in forward passes (e.g. for exact network constructions) but is
-    not twice differentiable, so it is rejected by the threshold formulas
-    that require a C^2 activation.
+    not twice differentiable, so ``NetworkShape.check_data`` refuses it for
+    the threshold and the solver, which differentiate the activation.
     """
 
     M: float = 20.0

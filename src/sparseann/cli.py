@@ -22,7 +22,7 @@ import numpy as np
 from .activations import ActivationSpec
 from .errors import (ConfigError, DataError, DegenerateParameterError, NumericalError,
                      SparseAnnError, check_int)
-from .network import Dataset, NetworkShape, Theta, forward, normalize_rows
+from .network import TASK_LINKS, Dataset, NetworkShape, Theta, forward, normalize_rows
 from .qut import QutConfig, compute_qut
 from .simulate import SimConfig, run_sweep
 from .solver import SolverConfig, fit
@@ -75,7 +75,7 @@ def load_run_config(path) -> dict:
         if isinstance(act, dict):
             _reject_unknown(act, {f.name for f in fields(ActivationSpec)},
                             "config.shape.activation")
-    if "task" in cfg and cfg["task"] not in ("regression", "classification"):
+    if "task" in cfg and cfg["task"] not in list(TASK_LINKS):  # a JSON array is unhashable
         raise ConfigError(f"unknown task {cfg['task']!r}")
     for key, value in cfg.get("io", {}).items():
         if not isinstance(value, str) or not value:
@@ -205,17 +205,17 @@ def _read_csv(path) -> _Table:
 def _features(table: _Table, names=None, drop=None):
     """Feature matrix and its column names: the columns ``names`` if given, else
     every column but ``drop``, in header order."""
-    header = table.header
+    position = {h: i for i, h in enumerate(table.header)}  # the header has no repeats
     if names:
-        missing = [f for f in names if f not in header]
+        missing = [f for f in names if f not in position]
         if missing:
             raise DataError(f"{table.path}: missing feature columns {missing}")
-        idxs = [header.index(f) for f in names]
+        idxs = [position[f] for f in names]
     else:
-        idxs = [i for i, h in enumerate(header) if h != drop]
+        idxs = [i for h, i in position.items() if h != drop]
     if not idxs:
         raise DataError(f"{table.path}: no feature columns")
-    return _numeric_columns(table, idxs), [header[i] for i in idxs]
+    return _numeric_columns(table, idxs), [table.header[i] for i in idxs]
 
 
 def _numeric_columns(table: _Table, idxs) -> np.ndarray:
@@ -293,21 +293,13 @@ def load_csv(path, response: str, task: str) -> Dataset:
                    feature_names=feature_names, class_labels=list(column))
 
 
-# The links each task's loss is defined on, default first: the square-root
-# loss takes any real output, cross-entropy a probability row.
-_TASK_LINKS = {"regression": ("identity",), "classification": ("softmax", "logit")}
-
-
 def _shape_from_config(cfg: dict, p1: int, m: int, task: str) -> NetworkShape:
-    """The network shape of a ``qut``, ``fit`` or ``simulate`` run.  Both the threshold
-    and the solver differentiate the activation, so the ReLU limit is refused."""
+    """The network shape of a ``qut``, ``fit`` or ``simulate`` run on ``task`` data with
+    ``p1`` features and ``m`` outputs, refused as the library refuses it (``check_data``)."""
     shape_cfg = cfg.get("shape", {})
     link = shape_cfg.get("link")
     if link is None:
-        link = _TASK_LINKS[task][0]
-    if link not in _TASK_LINKS[task]:
-        raise ConfigError(f"shape.link for {task} must be one of "
-                          f"{list(_TASK_LINKS[task])}, got {link!r}")
+        link = TASK_LINKS[task][0]
     try:
         hidden = shape_cfg.get("hidden", [20])
         if not isinstance(hidden, list) or not hidden:
@@ -318,13 +310,11 @@ def _shape_from_config(cfg: dict, p1: int, m: int, task: str) -> NetworkShape:
         elif activation is not None:
             activation = ActivationSpec.from_dict(activation)
         shape = NetworkShape.make((p1, *hidden, m), link, activation)
+        shape.check_data(task, p1, m)
     except KeyError as exc:
         raise ConfigError(f"shape.activation needs the key {exc}")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid shape config: {exc}")
-    if any(spec.is_relu_limit for spec in shape.activations):
-        raise ConfigError("the ReLU limit (M = inf) is for forward passes only: the threshold "
-                          "and the solver need a differentiable activation")
     return shape
 
 
@@ -498,8 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_data:
             p.add_argument("--data", default=None, help="CSV data file")
             p.add_argument("--response", default=None, help="response/label column")
-            p.add_argument("--task", choices=("regression", "classification"),
-                           default=None)
+            p.add_argument("--task", choices=TASK_LINKS, default=None)
 
     p_qut = sub.add_parser("qut", help="compute the penalty threshold")
     common(p_qut)

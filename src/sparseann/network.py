@@ -22,6 +22,9 @@ from .errors import DataError, DegenerateParameterError, NumericalError, check_i
 
 LINKS = ("identity", "softmax", "logit")
 LOSSES = ("sqrt_l2", "cross_entropy")
+# The links each task's loss is defined on, default first: the square-root
+# loss takes any real output, cross-entropy a probability row.
+TASK_LINKS = {"regression": ("identity",), "classification": ("softmax", "logit")}
 
 ROW_NORM_FLOOR = 1e-12
 PROB_FLOOR = 1e-12  # probabilities are clipped here before taking logs
@@ -76,13 +79,21 @@ class NetworkShape:
     def n_outputs(self) -> int:
         return self.widths[-1]
 
-    def check_widths(self, n_features: int, n_outputs: int):
-        """Raise ValueError unless the network maps ``n_features`` data columns to
-        ``n_outputs`` response columns."""
+    def check_data(self, task: str, n_features: int, n_outputs: int):
+        """Raise ValueError unless the threshold and the solver are defined for this
+        network on ``task`` data with ``n_features`` feature columns and ``n_outputs``
+        response columns: the widths fit the data, the task's loss takes the link, and
+        every activation is differentiable (both use its derivative)."""
         if (self.n_inputs, self.n_outputs) != (n_features, n_outputs):
             raise ValueError(f"the network maps {self.n_inputs} inputs to {self.n_outputs} "
                              f"outputs, the data have {n_features} feature columns and "
                              f"{n_outputs} response columns")
+        if self.link not in TASK_LINKS[task]:
+            raise ValueError(f"the {task} loss takes the links {list(TASK_LINKS[task])}, "
+                             f"got {self.link!r}")
+        if any(spec.is_relu_limit for spec in self.activations):
+            raise ValueError("the ReLU limit (M = inf) is for forward passes only: the "
+                             "threshold and the solver need a differentiable activation")
 
     @cached_property
     def param_shapes(self) -> tuple:
@@ -204,7 +215,7 @@ class Dataset:
             raise DataError("X and Y must be finite")
         if self.X.shape[0] != self.Y.shape[0]:
             raise ValueError("X and Y must have the same number of rows")
-        if self.task not in ("regression", "classification"):
+        if self.task not in list(TASK_LINKS):  # a list: an unhashable task is refused too
             raise ValueError(f"unknown task {self.task!r}")
         if self.task == "regression" and self.Y.shape[1] != 1:
             raise ValueError("regression responses must be n x 1")

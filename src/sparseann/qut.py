@@ -64,11 +64,6 @@ def _threshold_scale(shape: NetworkShape) -> float:
     hidden activation derivatives at zero."""
     deriv0 = 1.0
     for spec in shape.activations:
-        if spec.is_relu_limit:
-            raise ValueError(
-                "threshold formulas require a differentiable activation; "
-                "the ReLU limit is not allowed here"
-            )
         deriv0 *= float(act_deriv(spec, 0.0))
     return float(np.sqrt(np.prod(shape.widths[2:shape.n_layers]))) * deriv0
 
@@ -104,7 +99,7 @@ def _lambda0_one(Y: np.ndarray, X: np.ndarray, shape: NetworkShape, regression: 
     if Y.ndim == 1:
         Y = Y.reshape(-1, 1)
     X = np.asarray(X, dtype=float)
-    shape.check_widths(X.shape[1], Y.shape[1])
+    shape.check_data("regression" if regression else "classification", X.shape[1], Y.shape[1])
     value = _lambda0_block(X, Y, Y.shape[1], _free_outputs(shape), regression)[0]
     return _threshold_scale(shape) * float(value)
 
@@ -158,7 +153,7 @@ def compute_qut(dataset: Dataset, shape: NetworkShape, config: QutConfig) -> Qut
     single product against X per block; the samples equal one-draw-at-a-time
     evaluation up to rounding.
     """
-    shape.check_widths(dataset.n_features, dataset.n_outputs)
+    shape.check_data(dataset.task, dataset.n_features, dataset.n_outputs)
     n, m = dataset.n, dataset.n_outputs
     regression = dataset.task == "regression"
     free = _free_outputs(shape)

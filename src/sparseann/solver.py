@@ -100,8 +100,8 @@ class FitResult:
 
 def lambda_schedule(lambda_qut: float) -> list:
     """Sigmoid ramp exp(k)/(1+exp(k)) * lambda for k = -1..4, then lambda itself."""
-    if lambda_qut < 0:
-        raise ValueError("lambda_qut must be nonnegative")
+    if not 0.0 <= lambda_qut < np.inf:
+        raise ValueError(f"lambda_qut must be finite and non-negative, got {lambda_qut!r}")
     ks = np.arange(-1, 5, dtype=float)
     fracs = 1.0 / (1.0 + np.exp(-ks))
     return [float(f * lambda_qut) for f in fracs] + [float(lambda_qut)]
@@ -119,11 +119,9 @@ def _null_intercept(dataset: Dataset, link: str) -> np.ndarray:
     p_hat = np.clip(dataset.Y.mean(axis=0), PROB_FLOOR, None)
     if link == "softmax":
         return np.log(p_hat)
-    if link == "logit":
-        c = np.log(p_hat / p_hat[-1])
-        c[-1] = 0.0
-        return c
-    raise ValueError(f"classification needs a simplex link, got {link!r}")
+    c = np.log(p_hat / p_hat[-1])  # logit
+    c[-1] = 0.0
+    return c
 
 
 def init_theta(shape: NetworkShape, config: SolverConfig, rng: np.random.Generator,
@@ -131,9 +129,11 @@ def init_theta(shape: NetworkShape, config: SolverConfig, rng: np.random.Generat
     """Random start: penalized part uniform on [-INIT_SCALE, INIT_SCALE], unit-norm
     deep rows.  The start does not depend on ``config``.
 
-    With a dataset given, the intercept starts at the constant-model
-    minimizer so the start point matches the null of the threshold theory.
+    With a dataset given, the shape is first checked against it (``check_data``), and
+    the intercept starts at the constant-model minimizer, the null of the threshold.
     """
+    if dataset is not None:
+        shape.check_data(dataset.task, dataset.n_features, dataset.n_outputs)
     theta = Theta.zeros(shape)
     theta.theta1[...] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=theta.theta1.size)
     for W in theta.deep:
@@ -195,8 +195,8 @@ def fit(
 
     With ``SolverConfig(descent_epochs=0)`` only the last level takes steps,
     from the random start (a cold start); the six others keep empty traces.
+    ``init_theta`` checks the shape against the data before any draw.
     """
-    shape.check_widths(dataset.n_features, dataset.n_outputs)
     rng = np.random.default_rng(config.seed)
     theta = init_theta(shape, config, rng, dataset)
     loss_kind = dataset.loss_kind

@@ -11,9 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sparseann import (
+    ConfigError,
     DataError,
     FitResult,
     NetworkShape,
+    NumericalError,
     SolverConfig,
     Theta,
     estimated_support,
@@ -558,6 +560,21 @@ def _single_label_csv(tmp_path):
     return str(path)
 
 
+def _text_file(tmp_path, name, text):
+    """A file named ``name`` holding ``text``."""
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _blank_label_csv(tmp_path):
+    """Classification CSV over x0, x1 whose third label is blank."""
+    path = tmp_path / "blank.csv"
+    _write_csv(path, ["x0", "x1", "label"],
+               [[0.5, 1.0, "a"], [1.5, -1.0, "b"], [2.0, 0.0, " "], [1.0, 1.0, "a"]])
+    return str(path)
+
+
 def _latin1_file(tmp_path, name, text):
     """A file holding ``text`` in Latin-1, so not UTF-8 where ``text`` has an accent."""
     path = tmp_path / name
@@ -756,6 +773,40 @@ CLI_EXIT_CASES = {
         "qut", "--data", d, *_REG, "--config", _latin1_file(t, "cfg.json", '{"seed": "\u00e9"}')]),
     "predict_model_not_utf8": (2, lambda t, d: [
         "predict", "--data", d, "--model", _latin1_file(t, "model.json", '{"task": "\u00e9"}')]),
+    "qut_config_not_json": (2, lambda t, d: [
+        "qut", "--data", d, *_REG, "--config", _text_file(t, "cfg.json", '{"seed": 1')]),
+    "qut_config_root_not_an_object": (2, lambda t, d: [
+        "qut", "--data", d, *_REG, "--config", _config_file(t, [{"seed": 1}])]),
+    "qut_config_section_not_an_object": (2, lambda t, d: [
+        "qut", "--data", d, *_REG, "--config", _config_file(t, {"qut": [0.1]})]),
+    "qut_config_unknown_task": (2, lambda t, d: [
+        "qut", "--data", d, "--response", "y", "--config", _config_file(t, {"task": "ranking"})]),
+    "qut_config_task_an_array": (2, lambda t, d: [
+        "qut", "--data", d, "--response", "y",
+        "--config", _config_file(t, {"task": ["regression"]})]),
+    "qut_empty_data_file": (3, lambda t, d: ["qut", "--data", _text_file(t, "e.csv", ""), *_REG]),
+    "predict_data_missing_a_model_feature": (3, lambda t, d: [
+        "predict", "--data", _csv_with_header(t, ["x0", "x1", "x2", "y"]),
+        "--model", _model_file(t, lambda m: None)]),
+    "qut_blank_label": (3, lambda t, d: ["qut", "--data", _blank_label_csv(t), *_ONE_LABEL]),
+    "hidden_a_number": (2, _configured("shape", "hidden", 20, "qut")),
+    "hidden_empty": (2, _configured("shape", "hidden", [], "qut")),
+    "qut_activation_without_m": (2, lambda t, d: [
+        "qut", "--data", d, *_REG,
+        "--config", _config_file(t, {"shape": {"activation": {"u0": 0.0}}})]),
+    "predict_model_not_json": (2, lambda t, d: [
+        "predict", "--data", d, "--model", _text_file(t, "model.json", '{"shape": ')]),
+    "predict_model_nan_parameter": (2, lambda t, d: [
+        "predict", "--data", d, "--model",
+        _model_file(t, lambda m: m["theta"]["c"].__setitem__(0, float("nan")))]),
+    "predict_class_labels_wrong_length": (2, lambda t, d: [
+        "predict", "--data", d, "--model",
+        _model_file(t, lambda m: m.update(task="classification", class_labels=["a", "b"]))]),
+    "simulate_s_grid_not_integers": (2, lambda t, d: _simulate(t, "--s-grid", "1,x")),
+    "fit_two_hidden_layers_an_activation_each": (0, lambda t, d: [
+        "fit", "--data", d, *_REG, "--lambda", "1", "--config", _config_file(t, {
+            "shape": {"hidden": [3, 2], "activation": [{"M": 20}, {"M": 10, "u0": 0.5}]},
+            "solver": {"descent_epochs": 5, "prox_max_iter": 5}})]),
 }
 
 
@@ -841,6 +892,18 @@ def test_unwritable_out_exits_2(name, regression_csv, tmp_path, capsys, monkeypa
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("config error: cannot write output file")
     assert sorted(tmp_path.rglob("*")) == before  # nothing written
+
+
+def test_emit_refuses_a_non_finite_result_and_maps_a_write_error(tmp_path, capsys):
+    # both happen after the work is done, so no exit case above reaches them
+    out = tmp_path / "out.json"
+    with pytest.raises(NumericalError, match="non-finite number; nothing written"):
+        cli._emit([out], {"lambda_qut": float("nan")})
+    with pytest.raises(NumericalError):
+        cli._emit([], {"lambda_qut": float("inf")})
+    assert not out.exists() and capsys.readouterr().out == ""
+    with pytest.raises(ConfigError, match="cannot write output file: .*No such file"):
+        cli._emit([tmp_path / "gone" / "out.json"], {"lambda_qut": 1.0})
 
 
 @pytest.mark.parametrize("name", sorted(n for n, (code, _) in CLI_EXIT_CASES.items() if code == 2))

@@ -259,6 +259,9 @@ def test_dataset_validation():
         Dataset(X=X, Y=np.zeros((4, 1)), task="regression")  # row mismatch
     with pytest.raises(ValueError):
         Dataset(X=X, Y=np.full((3, 2), 0.5), task="classification")  # not one-hot
+    for task in ("ranking", ["regression"]):  # a list is unhashable
+        with pytest.raises(ValueError, match="unknown task"):
+            Dataset(X=X, Y=np.zeros((3, 1)), task=task)
     for bad in (np.nan, np.inf):
         with pytest.raises(DataError):
             Dataset(X=np.where(np.eye(3, 2), bad, 0.0), Y=np.zeros((3, 1)), task="regression")

@@ -1,5 +1,7 @@
 """Tests for the zero-thresholding closed forms, the oracle and the quantile."""
 
+import re
+
 import numpy as np
 import pytest
 from fd_utils import random_instance
@@ -303,23 +305,40 @@ def test_configs_reject_bad_seeds(seed):
         SimConfig.linear(seed=seed)
 
 
-@pytest.mark.parametrize("task, widths, link", [
-    ("regression", (9, 3, 1), "identity"),  # 9 inputs for 4 feature columns
-    ("classification", (4, 3, 2), "logit"),  # 2 outputs for 3 classes
-])
-def test_threshold_refuses_widths_that_miss_the_data(task, widths, link, monkeypatch):
+_RELU = ActivationSpec(M=np.inf, u0=0.0, k=1.0)
+_REGRESSION_LINKS = "the regression loss takes the links ['identity'], got "
+
+
+@pytest.mark.parametrize("task, widths, link, activation, want", [
     # both used to return a plausible threshold
+    ("regression", (9, 3, 1), "identity", None,  # 9 inputs for 4 feature columns
+     "the network maps 9 inputs to 1 outputs, the data have 4 feature columns and "
+     "1 response columns"),
+    ("classification", (4, 3, 2), "logit", None,  # 2 outputs for 3 classes
+     "the network maps 4 inputs to 2 outputs, the data have 4 feature columns and "
+     "3 response columns"),
+    # a one-column softmax or logit output is the constant 1, which no loss here fits
+    ("regression", (4, 3, 1), "softmax", None, _REGRESSION_LINKS + "'softmax'"),
+    ("regression", (4, 3, 1), "logit", None, _REGRESSION_LINKS + "'logit'"),
+    # cross-entropy needs a probability row
+    ("classification", (4, 3, 3), "identity", None,
+     "the classification loss takes the links ['softmax', 'logit'], got 'identity'"),
+    # lambda0 holds sigma'(0)
+    ("regression", (4, 3, 1), "identity", _RELU,
+     "the ReLU limit (M = inf) is for forward passes only"),
+], ids=["regression-widths0-identity", "classification-widths1-logit", "regression-softmax",
+        "regression-logit", "classification-identity", "relu-limit"])
+def test_threshold_refuses_widths_that_miss_the_data(task, widths, link, activation, want,
+                                                     monkeypatch):
     dataset = _null_dataset(task, 30, 4)
-    shape = NetworkShape.make(widths, link)
-    want = (f"the network maps {widths[0]} inputs to {widths[-1]} outputs, the data have "
-            f"4 feature columns and {dataset.n_outputs} response columns")
+    shape = NetworkShape.make(widths, link, activation)
 
     def no_draw(*args):
-        raise AssertionError("the widths are checked before any draw")
+        raise AssertionError("the shape is checked before any draw")
 
     monkeypatch.setattr(qut_module, f"sample_null_{task}", no_draw)
-    with pytest.raises(ValueError, match=want):
+    with pytest.raises(ValueError, match=re.escape(want)):
         compute_qut(dataset, shape, QutConfig(mc_samples=100))
     lambda0_one = lambda0_regression if task == "regression" else lambda0_classification
-    with pytest.raises(ValueError, match=want):
+    with pytest.raises(ValueError, match=re.escape(want)):
         lambda0_one(dataset.Y, dataset.X, shape)

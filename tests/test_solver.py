@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import warnings
 from dataclasses import replace
 
@@ -45,8 +46,9 @@ def test_schedule_values():
     assert sched[6] == 1.0
     assert all(a < b for a, b in zip(sched, sched[1:]))
     assert lambda_schedule(0.0) == [0.0] * 7
-    with pytest.raises(ValueError):
-        lambda_schedule(-1.0)
+    for bad in (-1.0, np.nan, np.inf):  # a NaN used to give seven NaN levels
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            lambda_schedule(bad)
 
 
 def test_init_theta_reproducible_unit_rows():
@@ -254,14 +256,44 @@ def test_solver_config_validation():
         SolverConfig(init_scale=1.0)
 
 
-@pytest.mark.parametrize("widths", [(5, 3, 1), (4, 3, 2)])
-def test_fit_refuses_widths_that_miss_the_data(widths):
+class _NoDraw:
+    def __getattr__(self, name):
+        raise AssertionError("the shape is checked before any draw")
+
+
+_REGRESSION_LINKS = "the regression loss takes the links ['identity'], got "
+
+
+@pytest.mark.parametrize("task, widths, link, activation, want", [
     # a wrong input width used to surface as a divergence in descent stage 0
+    ("regression", (5, 3, 1), "identity", None, "4 feature columns and 1 response columns"),
+    ("regression", (4, 3, 2), "identity", None, "4 feature columns and 1 response columns"),
+    # a one-column softmax or logit output is the constant 1: the fit returned no support
+    ("regression", (4, 3, 1), "softmax", None, _REGRESSION_LINKS + "'softmax'"),
+    ("regression", (4, 3, 1), "logit", None, _REGRESSION_LINKS + "'logit'"),
+    # cross-entropy needs a probability row: the start's intercept raised its own error
+    ("classification", (4, 3, 3), "identity", None,
+     "the classification loss takes the links ['softmax', 'logit'], got 'identity'"),
+    # the solver differentiates the activation
+    ("regression", (4, 3, 1), "identity", ActivationSpec(M=np.inf, u0=0.0),
+     "the ReLU limit (M = inf) is for forward passes only"),
+], ids=["widths0", "widths1", "regression-softmax", "regression-logit",
+        "classification-identity", "relu-limit"])
+def test_fit_refuses_widths_that_miss_the_data(task, widths, link, activation, want,
+                                                monkeypatch):
     rng = np.random.default_rng(0)
-    dataset = Dataset(X=rng.standard_normal((30, 4)), Y=rng.standard_normal((30, 1)),
-                      task="regression")
-    with pytest.raises(ValueError, match="4 feature columns and 1 response columns"):
-        fit(NetworkShape.make(widths), dataset, 1.0, FAST)
+    Y = rng.standard_normal((30, 1)) if task == "regression" else np.eye(3)[np.arange(30) % 3]
+    dataset = Dataset(X=rng.standard_normal((30, 4)), Y=Y, task=task)
+    shape = NetworkShape.make(widths, link, activation)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("the shape is checked before any step")
+
+    monkeypatch.setattr(solver, "loss_and_grad", no_step)
+    with pytest.raises(ValueError, match=re.escape(want)):
+        fit(shape, dataset, 1.0, FAST)
+    with pytest.raises(ValueError, match=re.escape(want)):
+        init_theta(shape, FAST, _NoDraw(), dataset)
 
 
 def test_diverging_fit_raises_numerical_error_without_warnings(monkeypatch):
@@ -313,6 +345,47 @@ def test_a_stuck_last_level_records_only_the_steps_it_took(monkeypatch):
     assert len(stuck.objective_trace[-1]) == 3
     assert stuck.objective_trace == capped.objective_trace
     assert np.array_equal(stuck.theta.flat, capped.theta.flat)
+
+
+def _backtrack_from_a_start(seed=6):
+    """``_backtrack``'s arguments but the gradient, the step and the trial, at the
+    start point of a fit, and the gradient there."""
+    rng = np.random.default_rng(seed)
+    shape, _, dataset = random_instance(rng, n_layers=2, n=30)
+    theta = init_theta(shape, FAST, rng, dataset)
+    loss, grad = loss_and_grad(shape, theta, dataset, dataset.loss_kind)
+    lam = 0.8 * lambda0(dataset, shape)
+    return (shape, theta, dataset, dataset.loss_kind, loss), grad, lam
+
+
+@np.errstate(over="raise", invalid="raise", divide="raise")  # as in fit
+def test_backtrack_rejects_a_failed_trial_and_halves_the_step(monkeypatch):
+    head, grad, lam = _backtrack_from_a_start()
+    want, trial = Theta.zeros(head[0]), Theta.zeros(head[0])
+    want_step, want_pass = solver._backtrack(*head, grad, lam, 0.5, want)
+    calls = []
+
+    def fails_once(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise FloatingPointError("overflow")
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "forward", fails_once)
+    step, new_pass = solver._backtrack(*head, grad, lam, 1.0, trial)
+    # the failed trial at step 1 counts as rejected: the search goes on from step 0.5
+    assert new_pass is not None and step == want_step < 1.0 and len(calls) > 1
+    assert np.array_equal(trial.flat, want.flat)
+    assert np.array_equal(new_pass[0], want_pass[0])
+
+
+@np.errstate(over="raise", invalid="raise", divide="raise")
+def test_backtrack_gives_up_below_its_smallest_step():
+    head, grad, lam = _backtrack_from_a_start()
+    uphill = Theta.from_flat(head[0], -1e4 * grad.flat)
+    # against the gradient, scaled so that the bound's 1e-12 slack admits no step
+    step, new_pass = solver._backtrack(*head, uphill, lam, 1.0, Theta.zeros(head[0]))
+    assert new_pass is None and step == 2.0**-47  # the first power of 2 below 1e-14
 
 
 def _sweep_instance(sim, s, rep):
